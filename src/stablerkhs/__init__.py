@@ -87,6 +87,7 @@ from .sysid import (
     RegressionProblem,
     ls_estimate,
     rels_estimate,
+    rels_path,
     select_gamma,
     select_order,
     simulate,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from typing import Any, Sequence
@@ -214,40 +215,76 @@ def _cmd_synth(config: ExperimentConfig) -> int:
     return 0
 
 
+def _number(value: Any, kind: type, what: str) -> Any:
+    """value as a finite int or float; anything else is a ConfigError."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or (kind is float and not math.isfinite(out)):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return out
+
+
+def _param(params: dict[str, Any], key: str, default: Any,
+           kind: type = float) -> Any:
+    return _number(params.get(key, default), kind, repr(key))
+
+
+def _param_list(params: dict[str, Any], key: str, default: list[Any],
+                kind: type = float) -> list[Any]:
+    value = params.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key!r} must be a list of numbers, got {value!r}")
+    return [_number(v, kind, f"each entry of {key!r}") for v in value]
+
+
 def _cmd_identify(config: ExperimentConfig) -> int:
     if config.seed is None:
         raise ConfigError("identify requires a seed (noise realizations must "
                           "be reproducible)")
+    seed = _number(config.seed, int, "seed")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     params = dict(config.params)
-    alpha = float(params.get("alpha", 0.95))
-    n = int(params.get("n", 200))
-    sigma = float(params.get("sigma", 0.1))
-    gamma = float(params.get("gamma", 100.0))
-    window = int(params.get("window", 600))
+    alpha = _param(params, "alpha", 0.95)
+    n = _param(params, "n", 200, int)
+    sigma = _param(params, "sigma", 0.1)
+    gamma = _param(params, "gamma", 100.0)
+    window = _param(params, "window", 600, int)
     input_kind = params.get("input", "white")
-    coeffs = [float(c) for c in params.get("truth_coeffs", [4.0, -3.0])]
-    poles = [float(p) for p in params.get("truth_poles", [0.9, 0.8])]
+    coeffs = _param_list(params, "truth_coeffs", [4.0, -3.0])
+    poles = _param_list(params, "truth_poles", [0.9, 0.8])
+    gammas = sorted(set(_param_list(params, "gammas",
+                                    [10.0 ** e for e in range(-2, 7)])))
+    if not gammas:
+        raise ConfigError("empty gamma grid")
+    orders = _param_list(params, "orders", [], int)
     truth = sysid.decaying_exponential_mix(coeffs, poles, window)
     problem, f0 = sysid.simulate(truth, input_kind, n, sigma,
-                                 seed=config.seed, window=window)
+                                 seed=seed, window=window)
 
     kernel = spec_from_config({"family": "stable-spline", "alpha": alpha})
     spectrum = spectral.eigendecompose(truncate(kernel, window))
     rank = spectrum.rank()
-    rels = sysid.rels_estimate(problem, kernel, gamma)
-    full = sysid.trunc_mercer_estimate(problem, spectrum, gamma, rank)
-    scale = max(float(np.linalg.norm(rels.impulse_response)), 1e-300)
-    equivalence_gap = float(np.linalg.norm(
-        full.impulse_response - rels.impulse_response)) / scale
+    # The main estimate and the gamma path share one kernel Gram.
+    rels, *gamma_path = sysid.rels_path(problem, kernel, [gamma, *gammas])
 
-    default_orders = [d for d in (5, 10, 20, 50, 100, 200) if d < rank]
-    orders = [int(d) for d in params.get("orders", default_orders)]
-    orders = sorted(set(d for d in orders if 1 <= d <= rank)) + [rank]
-    sweep = sysid.sweep_d(problem, spectrum, gamma, orders, reference=rels)
+    if "orders" not in params:
+        orders = [d for d in (5, 10, 20, 50, 100, 200) if d < rank]
+    orders = sorted({d for d in orders if 1 <= d <= rank} | {rank})
+    short = min(20, rank)
+    # Full rank, the sweep and the order-20 estimate share one projection.
+    sweep = {row.order: row
+             for row in sysid.sweep_d(problem, spectrum, gamma,
+                                      [*orders, short], reference=rels)}
+    full, best_tm = sweep[rank].estimate, sweep[short].estimate
+    equivalence_gap = sweep[rank].l2_gap
 
     lsq_basis = basis_mod.canonical_basis(window)
-    selection = sysid.select_order(problem, lsq_basis,
-                                   [2, 5, 10, 20, 50], criterion="aic")
+    aic_orders = sorted({min(d, window) for d in (2, 5, 10, 20, 50)})
+    selection = sysid.select_order(problem, lsq_basis, aic_orders,
+                                   criterion="aic")
     lsq = sysid.ls_estimate(problem, lsq_basis, selection.order)
 
     summary = {
@@ -269,19 +306,13 @@ def _cmd_identify(config: ExperimentConfig) -> int:
     _write_json(_out_path(config.output_dir, "identify_summary.json"), summary)
     _write_csv(_out_path(config.output_dir, "sweep.csv"),
                ["d", "l2_gap_to_rels", "seminorm_gap", "cost_proxy"],
-               [[r.order, r.l2_gap, r.seminorm_gap, r.cost_proxy]
-                for r in sweep])
-    gammas = [float(g) for g in params.get("gammas",
-                                           [10.0 ** e for e in range(-2, 7)])]
-    gamma_rows = []
-    for g in sorted(set(gammas)):
-        est = sysid.rels_estimate(problem, kernel, g)
-        gamma_rows.append([g, est.rss, est.diagnostics["rkhs_norm_sq"],
-                           sysid.fit_percent(f0, est.impulse_response)])
+               [[d, sweep[d].l2_gap, sweep[d].seminorm_gap,
+                 sweep[d].cost_proxy] for d in orders])
     _write_csv(_out_path(config.output_dir, "gamma_path.csv"),
-               ["gamma", "rss", "rkhs_norm_sq", "fit_percent"], gamma_rows)
-    best_tm = sysid.trunc_mercer_estimate(problem, spectrum, gamma,
-                                          min(20, rank))
+               ["gamma", "rss", "rkhs_norm_sq", "fit_percent"],
+               [[g, est.rss, est.diagnostics["rkhs_norm_sq"],
+                 sysid.fit_percent(f0, est.impulse_response)]
+                for g, est in zip(gammas, gamma_path)])
     _write_csv(_out_path(config.output_dir, "impulse_responses.csv"),
                ["t", "truth", "ls_aic", "rels", "trunc_mercer_20"],
                [[t + 1, f0[t], lsq.impulse_response[t],

@@ -9,10 +9,10 @@ truncated at a computation window T_f whose tail is audited.
 * ls_estimate: classical least squares on the first d vectors of an
   orthonormal basis; d trades bias against variance and is selected by
   AIC or k-fold cross validation.
-* rels_estimate: kernel regularized least squares. The minimizer lives
-  in an N-dimensional subspace determined by the kernel and the input,
-  so the solve is an N x N SPD factorization, f = K Phi' c with
-  c = (Phi K Phi' + gamma I)^(-1) y.
+* rels_estimate / rels_path: kernel regularized least squares. The
+  minimizer lives in an N-dimensional subspace determined by the kernel
+  and the input, so the solve is an N x N SPD factorization,
+  f = K Phi' c with c = (Phi K Phi' + gamma I)^(-1) y.
 * trunc_mercer_estimate: the d-dimensional surrogate in truncated
   eigenbasis coordinates, ridge objective sum (a_i^2 / lambda_i). At
   full spectral rank it reproduces rels_estimate (the two quadratic
@@ -20,14 +20,25 @@ truncated at a computation window T_f whose tail is audited.
   for d much smaller than N it costs O(N d^2) after the regressors are
   projected once.
 
-All solves use SPD Cholesky factorizations; no explicit inverses. The
-truncated solve substitutes b = diag(lambda)^(-1/2) a so that tiny
-eigenvalues never appear as divisors.
+Costs. A problem builds Phi once, on first use, and every call shares
+that read-only array. rels_path and select_gamma truncate the kernel,
+audit its tail and form K Phi' and the N x N Gram G = Phi K Phi' once
+per call; after that each gamma costs one N x N Cholesky of G + gamma I
+(select_gamma: one per (fold, gamma), on row and column slices of G).
+The truncated surrogate projects B = Phi V diag(sqrt(lambda)) and forms
+B'B once, at the largest order a call needs; each order then factors
+the leading d x d block, so sweep_d costs one projection for all orders.
+
+All solves use SPD Cholesky factorizations; no explicit inverses and no
+eigendecompositions. The truncated solve substitutes
+b = diag(lambda)^(-1/2) a so that tiny eigenvalues never appear as
+divisors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -78,16 +89,24 @@ class RegressionProblem:
     def n(self) -> int:
         return int(self.y.size)
 
+    @cached_property
+    def phi(self) -> np.ndarray:
+        """The regression matrix, built on first use; read-only."""
+        phi = np.zeros((self.n, self.window))
+        for k, t in enumerate(self.times):
+            m = min(int(t), self.window)
+            # u(t), u(t-1), ..., u(t-m+1) in 0-based storage
+            phi[k, :m] = self.u[t - m:t][::-1]
+        phi.setflags(write=False)
+        return phi
+
 
 def regression_matrix(problem: RegressionProblem) -> np.ndarray:
-    """N x T_f matrix with rows Phi[k, j] = u(t_k - j + 1), 0 beyond t_k."""
-    n, tf = problem.n, problem.window
-    phi = np.zeros((n, tf))
-    for k, t in enumerate(problem.times):
-        m = min(int(t), tf)
-        # u(t), u(t-1), ..., u(t-m+1) in 0-based storage
-        phi[k, :m] = problem.u[t - m:t][::-1]
-    return phi
+    """N x T_f matrix with rows Phi[k, j] = u(t_k - j + 1), 0 beyond t_k.
+
+    Built once per problem; every call returns the same read-only array.
+    """
+    return problem.phi
 
 
 def convolve_truth(u: np.ndarray, f0: np.ndarray, times: np.ndarray) -> np.ndarray:
@@ -265,36 +284,128 @@ def select_order(problem: RegressionProblem, basis: OrthoBasis,
                           scores=tuple(scores), degenerate=degenerate)
 
 
-def rels_estimate(problem: RegressionProblem, kernel: KernelSpec,
-                  gamma: float) -> Estimate:
-    """Kernel regularized least squares on the T_f window.
+def _check_gamma(gamma: float) -> None:
+    if not (gamma > 0 and np.isfinite(gamma)):
+        raise DomainError("regularization weight must be positive and finite,"
+                          f" got {gamma}")
 
-    Cost is one N x N SPD solve plus the K Phi' products. The kernel
-    tail at the window edge is audited; a diagonal ratio above
-    TAIL_RATIO is flagged (the window may be truncating mass).
+
+def _ridge_solve(a: np.ndarray, gamma: float, b: np.ndarray,
+                 what: str) -> np.ndarray:
+    """Solve (a + gamma I) x = b for symmetric PSD a, gamma > 0.
+
+    The shifted matrix is one Fortran-ordered copy that the Cholesky
+    factorization (lower triangle) then overwrites in place.
     """
-    if gamma <= 0:
-        raise DomainError(f"regularization weight must be positive, got {gamma}")
+    m = np.array(a, order="F")
+    m[np.diag_indices_from(m)] += gamma
+    try:
+        return cho_solve(cho_factor(m, lower=True, overwrite_a=True), b)
+    except np.linalg.LinAlgError as exc:   # pragma: no cover - gamma > 0 guards
+        raise NumericalError(f"SPD solve failed in {what}") from exc
+
+
+def _kernel_gram(problem: RegressionProblem,
+                 kernel: KernelSpec) -> tuple[np.ndarray, np.ndarray, float]:
+    """K Phi' (T_f x N), the Gram Phi K Phi' (N x N) and the tail ratio.
+
+    The tail ratio is the kernel diagonal at the window edge over its
+    first entry; above TAIL_RATIO the window may be truncating mass.
+    """
     tf = problem.window
     k = truncate(kernel, tf).entries
     tail_ratio = float(k[tf - 1, tf - 1] / k[0, 0]) if k[0, 0] > 0 else 0.0
     phi = regression_matrix(problem)
-    kp = k @ phi.T                              # T_f x N
-    a = phi @ kp + gamma * np.eye(problem.n)
-    try:
-        c = cho_solve(cho_factor(a, lower=True), problem.y)
-    except np.linalg.LinAlgError as exc:   # pragma: no cover - gamma > 0 guards
-        raise NumericalError("SPD solve failed in regularized least squares;"
-                             f" gamma={gamma}") from exc
-    f = kp @ c
-    hnorm2 = float(c @ (phi @ f))               # c' Phi K Phi' c
-    return Estimate(
-        estimator="rels", impulse_response=f, coefficients=None, order=None,
-        gamma=gamma, rss=_rss(problem, phi, f),
-        diagnostics={"rkhs_norm_sq": hnorm2, "tail_ratio": tail_ratio,
-                     "tail_flagged": bool(tail_ratio > TAIL_RATIO),
-                     "cost_proxy": float(problem.n ** 3 / 3
-                                         + problem.n * tf ** 2)})
+    kp = k @ phi.T
+    return kp, phi @ kp, tail_ratio
+
+
+def rels_path(problem: RegressionProblem, kernel: KernelSpec,
+              gammas: Sequence[float]) -> list[Estimate]:
+    """Kernel regularized least squares on the T_f window, one per gamma.
+
+    Estimates come in the order of `gammas`. The kernel window, K Phi',
+    the Gram G = Phi K Phi' and the tail audit are shared by every gamma,
+    which then costs one N x N Cholesky of G + gamma I. A kernel tail
+    ratio above TAIL_RATIO is flagged in the diagnostics.
+    """
+    gammas = [float(g) for g in gammas]
+    if not gammas:
+        raise ConfigError("empty gamma grid")
+    for gamma in gammas:
+        _check_gamma(gamma)
+    kp, gram, tail_ratio = _kernel_gram(problem, kernel)
+    phi = regression_matrix(problem)
+    n, tf = problem.n, problem.window
+    path: list[Estimate] = []
+    for gamma in gammas:
+        c = _ridge_solve(gram, gamma, problem.y,
+                         f"regularized least squares; gamma={gamma}")
+        f = kp @ c
+        hnorm2 = float(c @ (phi @ f))           # c' Phi K Phi' c
+        path.append(Estimate(
+            estimator="rels", impulse_response=f, coefficients=None,
+            order=None, gamma=gamma, rss=_rss(problem, phi, f),
+            diagnostics={"rkhs_norm_sq": hnorm2, "tail_ratio": tail_ratio,
+                         "tail_flagged": bool(tail_ratio > TAIL_RATIO),
+                         "cost_proxy": float(n ** 3 / 3 + n * tf ** 2)}))
+    return path
+
+
+def rels_estimate(problem: RegressionProblem, kernel: KernelSpec,
+                  gamma: float) -> Estimate:
+    """Kernel regularized least squares on the T_f window at one gamma.
+
+    Cost is one N x N SPD solve plus the K Phi' products; rels_path
+    shares those products across several gammas.
+    """
+    return rels_path(problem, kernel, [gamma])[0]
+
+
+def _trunc_mercer_path(problem: RegressionProblem, spectrum: Spectrum,
+                       gamma: float, orders: Sequence[int]) -> list[Estimate]:
+    """Truncated solves at every order, in the given order, on one projection.
+
+    B = Phi V_D diag(sqrt(lambda)), B'B and B'y are formed once at the
+    largest order D; order d factors the leading d x d block of B'B.
+    """
+    _check_gamma(gamma)
+    if spectrum.d != problem.window:
+        raise DomainError(f"spectrum order {spectrum.d} does not match the "
+                          f"problem window {problem.window}")
+    for order in orders:
+        if not 1 <= order <= spectrum.d:
+            raise DomainError(f"order must be in [1, {spectrum.d}], "
+                              f"got {order}")
+    if not orders:
+        return []
+    top = max(orders)
+    lam = spectrum.eigenvalues[:top]
+    if np.any(lam <= 0):
+        bad = int(np.nonzero(lam <= 0)[0][0]) + 1
+        raise DomainError(f"eigenvalue {bad} of the requested {top} is not "
+                          f"strictly positive; reduce the order to the "
+                          f"spectral rank {spectrum.rank()}")
+    v = spectrum.eigenvectors[:, :top]
+    phi = regression_matrix(problem)
+    s = np.sqrt(lam)
+    b = phi @ v
+    b *= s
+    btb = b.T @ b
+    bty = b.T @ problem.y
+    n = problem.n
+    path: list[Estimate] = []
+    for d in orders:
+        bcoef = _ridge_solve(btb[:d, :d], gamma, bty[:d],
+                             f"the truncated solve; gamma={gamma}, d={d}")
+        coeffs = s[:d] * bcoef
+        f = v[:, :d] @ coeffs
+        path.append(Estimate(
+            estimator="trunc-mercer", impulse_response=f, coefficients=coeffs,
+            order=d, gamma=gamma, rss=_rss(problem, phi, f),
+            diagnostics={"penalty_value": float(bcoef @ bcoef),
+                         "cost_proxy": float(n * d ** 2 + d ** 3 / 3)}))
+    return path
 
 
 def trunc_mercer_estimate(problem: RegressionProblem, spectrum: Spectrum,
@@ -308,38 +419,7 @@ def trunc_mercer_estimate(problem: RegressionProblem, spectrum: Spectrum,
     B = Phi V_d diag(sqrt(lambda)); the objective value is unchanged and
     tiny eigenvalues stay out of denominators.
     """
-    if gamma <= 0:
-        raise DomainError(f"regularization weight must be positive, got {gamma}")
-    if spectrum.d != problem.window:
-        raise DomainError(f"spectrum order {spectrum.d} does not match the "
-                          f"problem window {problem.window}")
-    if not 1 <= order <= spectrum.d:
-        raise DomainError(f"order must be in [1, {spectrum.d}], got {order}")
-    lam = spectrum.eigenvalues[:order]
-    if np.any(lam <= 0):
-        bad = int(np.nonzero(lam <= 0)[0][0]) + 1
-        raise DomainError(f"eigenvalue {bad} of the requested {order} is not "
-                          f"strictly positive; reduce the order to the "
-                          f"spectral rank {spectrum.rank()}")
-    v = spectrum.eigenvectors[:, :order]
-    phi = regression_matrix(problem)
-    g = phi @ v
-    s = np.sqrt(lam)
-    b = g * s
-    m = b.T @ b + gamma * np.eye(order)
-    try:
-        bcoef = cho_solve(cho_factor(m, lower=True), b.T @ problem.y)
-    except np.linalg.LinAlgError as exc:   # pragma: no cover - gamma > 0 guards
-        raise NumericalError("SPD solve failed in the truncated solve;"
-                             f" gamma={gamma}, d={order}") from exc
-    coeffs = s * bcoef
-    f = v @ coeffs
-    return Estimate(
-        estimator="trunc-mercer", impulse_response=f, coefficients=coeffs,
-        order=order, gamma=gamma, rss=_rss(problem, phi, f),
-        diagnostics={"penalty_value": float(bcoef @ bcoef),
-                     "cost_proxy": float(problem.n * order ** 2
-                                         + order ** 3 / 3)})
+    return _trunc_mercer_path(problem, spectrum, gamma, [order])[0]
 
 
 def surrogate_objective(problem: RegressionProblem, spectrum: Spectrum,
@@ -361,6 +441,7 @@ class SweepRow:
     l2_gap: float            # |f_d - f_ref|_2 / |f_ref|_2
     seminorm_gap: float      # sqrt(sum (a_i - a_i^ref)^2 / lambda_i)
     cost_proxy: float
+    estimate: Estimate = field(repr=False, compare=False)   # f_d itself
 
 
 def sweep_d(problem: RegressionProblem, spectrum: Spectrum, gamma: float,
@@ -370,55 +451,70 @@ def sweep_d(problem: RegressionProblem, spectrum: Spectrum, gamma: float,
 
     The reference defaults to the full-spectral-rank solve. Gaps are
     expected to shrink as d grows (same objective over nested subspaces);
-    the trend is reported, asserting it is left to the caller.
+    the trend is reported, asserting it is left to the caller. Every
+    order, and the default reference, shares one projection.
     """
     rank = spectrum.rank()
+    orders = sorted(set(int(x) for x in orders))
+    path = _trunc_mercer_path(problem, spectrum, gamma,
+                              orders + ([rank] if reference is None else []))
     if reference is None:
-        reference = trunc_mercer_estimate(problem, spectrum, gamma, rank)
+        reference = path.pop()
     ref_f = reference.impulse_response
     ref_norm = float(np.linalg.norm(ref_f))
     scale = max(ref_norm, 1e-300)
     # Reference coefficients in eigen-coordinates over the positive modes.
     ref_a = spectrum.eigenvectors[:, :rank].T @ ref_f
+    lam = spectrum.eigenvalues[:rank]
     rows: list[SweepRow] = []
-    for d in sorted(set(int(x) for x in orders)):
-        est = trunc_mercer_estimate(problem, spectrum, gamma, d)
+    for d, est in zip(orders, path):
         gap = float(np.linalg.norm(est.impulse_response - ref_f)) / scale
         a = np.zeros(rank)
         a[:d] = est.coefficients[:min(d, rank)]
-        lam = spectrum.eigenvalues[:rank]
         sem = float(np.sqrt(np.sum((a - ref_a) ** 2 / lam)))
         rows.append(SweepRow(order=d, l2_gap=gap, seminorm_gap=sem,
-                             cost_proxy=float(est.diagnostics["cost_proxy"])))
+                             cost_proxy=float(est.diagnostics["cost_proxy"]),
+                             estimate=est))
     return rows
 
 
 def select_gamma(problem: RegressionProblem, kernel: KernelSpec,
                  gammas: Sequence[float], folds: int = 5) -> tuple[float, list[tuple[float, float]]]:
-    """Grid search for gamma by k-fold cross validation on held-out RSS."""
+    """Grid search for gamma by k-fold cross validation on held-out RSS.
+
+    Folds are contiguous blocks of observations. The Gram G = Phi K Phi'
+    is built once: a fold's training system is G[train][:, train], the
+    Gram its own sub-problem would build, and its held-out predictions
+    Phi[out] K Phi[train]' c are G[out][:, train] c. Each (fold, gamma)
+    then costs one Cholesky of the training block. Ties go to the
+    smallest gamma.
+    """
     gammas = sorted(set(float(g) for g in gammas))
     if not gammas:
         raise ConfigError("empty gamma grid")
     if folds < 2:
         raise ConfigError(f"cross validation needs >= 2 folds, got {folds}")
+    for gamma in gammas:
+        _check_gamma(gamma)
     n = problem.n
+    if n < 2:
+        raise ConfigError("cross validation needs >= 2 observations")
     folds = min(folds, n)
     bounds = np.linspace(0, n, folds + 1, dtype=int)
-    phi = regression_matrix(problem)
-    table: list[tuple[float, float]] = []
-    for gamma in gammas:
-        press = 0.0
-        for f in range(folds):
-            lo, hi = bounds[f], bounds[f + 1]
-            mask = np.ones(n, dtype=bool)
-            mask[lo:hi] = False
-            sub = RegressionProblem(u=problem.u, times=problem.times[mask],
-                                    y=problem.y[mask], sigma=problem.sigma,
-                                    window=problem.window)
-            est = rels_estimate(sub, kernel, gamma)
-            r = problem.y[~mask] - phi[~mask] @ est.impulse_response
-            press += float(r @ r)
-        table.append((gamma, press))
+    gram = _kernel_gram(problem, kernel)[1]
+    y = problem.y
+    press = [0.0] * len(gammas)
+    for f in range(folds):
+        train = np.ones(n, dtype=bool)
+        train[bounds[f]:bounds[f + 1]] = False
+        g_train = gram[np.ix_(train, train)]
+        g_out = gram[np.ix_(~train, train)]
+        for i, gamma in enumerate(gammas):
+            c = _ridge_solve(g_train, gamma, y[train],
+                             f"cross validation; gamma={gamma}")
+            r = y[~train] - g_out @ c
+            press[i] += float(r @ r)
+    table = list(zip(gammas, press))
     best = min(table, key=lambda t: (t[1], t[0]))
     return best[0], table
 

@@ -247,6 +247,40 @@ def test_identify_config_file_with_flag_override(tmp_path, capsys):
     assert json.loads(out)["config"]["seed"] == 5
 
 
+def test_identify_default_aic_grid_fits_a_short_window(tmp_path, capsys):
+    code, out, err = run(capsys, "identify", "--seed", "1", "--n", "30",
+                         "--window", "40", "--output-dir", str(tmp_path))
+    assert code == 0, err
+    assert 1 <= json.loads(out)["ls_selected_order"] <= 40
+
+
+@pytest.mark.parametrize("top, params", [
+    ({}, {"gamma": "abc"}),
+    ({}, {"n": "x"}),
+    ({}, {"sigma": "abc"}),
+    ({}, {"sigma": "nan"}),
+    ({}, {"gammas": ["a"]}),
+    ({}, {"gammas": []}),
+    ({}, {"gammas": 5}),
+    ({}, {"orders": ["z"]}),
+    ({}, {"truth_poles": "x"}),
+    ({"seed": "x"}, {}),
+    ({"seed": -1}, {}),
+], ids=lambda v: json.dumps(v))
+def test_identify_malformed_input_is_config_error(tmp_path, capsys, top,
+                                                  params):
+    cfg = {"schema_version": 1, "command": "identify", "seed": 4,
+           "output_dir": str(tmp_path / "x"),
+           "params": {"n": 20, "window": 60, **params}, **top}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run(capsys, "identify", "--config", str(path))
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_config_command_mismatch_rejected(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"schema_version": 1, "command": "classify",

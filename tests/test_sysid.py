@@ -3,7 +3,7 @@ import pytest
 
 from stablerkhs.basis import canonical_basis, laguerre_basis
 from stablerkhs.errors import ConfigError, DomainError
-from stablerkhs.kernels import StableSpline, truncate
+from stablerkhs.kernels import Gaussian, StableSpline, truncate
 from stablerkhs.spectral import eigendecompose
 from stablerkhs.sysid import (
     RegressionProblem,
@@ -12,6 +12,7 @@ from stablerkhs.sysid import (
     ls_estimate,
     regression_matrix,
     rels_estimate,
+    rels_path,
     select_gamma,
     select_order,
     simulate,
@@ -69,6 +70,21 @@ def test_regression_matrix_causal_structure():
     np.testing.assert_array_equal(phi[0], [1, 0, 0, 0])
     np.testing.assert_array_equal(phi[1], [3, 2, 1, 0])
     np.testing.assert_array_equal(phi[2], [7, 6, 5, 4])
+
+
+def test_regression_matrix_is_read_only_and_matches_definition():
+    problem, _ = make_problem(n=40, window=60)
+    phi = regression_matrix(problem)
+    expected = np.zeros((problem.n, problem.window))
+    for k, t in enumerate(problem.times):
+        for j in range(1, problem.window + 1):      # lags are 1-based
+            if j <= t:
+                expected[k, j - 1] = problem.u[t - j]   # u(t - j + 1)
+    np.testing.assert_array_equal(phi, expected)
+    assert regression_matrix(problem) is phi
+    assert not phi.flags.writeable
+    with pytest.raises(ValueError):
+        phi[0, 0] = 1.0
 
 
 def test_problem_validates_instants():
@@ -231,6 +247,75 @@ def test_select_gamma_prefers_moderate_regularization():
     assert len(table) == 4
 
 
+ORACLE_KERNELS = [StableSpline(0.9), Gaussian(3.0)]
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=lambda k: k.family)
+def test_rels_path_matches_dense_formula(kernel):
+    problem, _ = make_problem(n=70, sigma=0.2, window=90)
+    k = truncate(kernel, problem.window).entries
+    phi = regression_matrix(problem)
+    gammas = [10.0, 1e-2, 1.0, 1e3]           # deliberately unsorted
+    path = rels_path(problem, kernel, gammas)
+    assert [est.gamma for est in path] == gammas
+    for gamma, est in zip(gammas, path):
+        c = np.linalg.solve(phi @ k @ phi.T + gamma * np.eye(problem.n),
+                            problem.y)
+        f = k @ phi.T @ c
+        scale = np.linalg.norm(f)
+        assert np.linalg.norm(est.impulse_response - f) <= 1e-10 * scale
+        r = problem.y - phi @ f
+        assert est.rss == pytest.approx(float(r @ r), rel=1e-10)
+        assert est.diagnostics["rkhs_norm_sq"] == pytest.approx(
+            float(c @ phi @ k @ phi.T @ c), rel=1e-10)
+
+
+def test_rels_path_rejects_empty_and_nonpositive_gammas():
+    problem, _ = make_problem()
+    with pytest.raises(ConfigError, match="empty gamma grid"):
+        rels_path(problem, StableSpline(0.9), [])
+    for bad in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError):
+            rels_path(problem, StableSpline(0.9), [1.0, bad])
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=lambda k: k.family)
+def test_select_gamma_matches_per_fold_subproblems(kernel):
+    # N = 103 does not divide into 5 folds; the reference rebuilds each
+    # training sub-problem and solves it from scratch
+    problem, _ = make_problem(n=103, sigma=0.3, window=120)
+    gammas = [1e-2, 1e-1, 1.0, 10.0, 100.0, 1e4]
+    folds = 5
+    n = problem.n
+    bounds = np.linspace(0, n, folds + 1, dtype=int)
+    phi = regression_matrix(problem)
+    reference = []
+    for gamma in gammas:
+        press = 0.0
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            held = np.zeros(n, dtype=bool)
+            held[lo:hi] = True
+            sub = RegressionProblem(u=problem.u, times=problem.times[~held],
+                                    y=problem.y[~held], sigma=problem.sigma,
+                                    window=problem.window)
+            est = rels_estimate(sub, kernel, gamma)
+            r = problem.y[held] - phi[held] @ est.impulse_response
+            press += float(r @ r)
+        reference.append((gamma, press))
+    best, table = select_gamma(problem, kernel, gammas, folds=folds)
+    assert best == min(reference, key=lambda t: (t[1], t[0]))[0]
+    assert [g for g, _ in table] == gammas
+    for (_, got), (_, want) in zip(table, reference):
+        assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_select_gamma_needs_two_observations():
+    problem = RegressionProblem(u=np.array([1.0]), times=np.array([1]),
+                                y=np.array([1.0]), sigma=0.0, window=3)
+    with pytest.raises(ConfigError):
+        select_gamma(problem, StableSpline(0.9), [1.0])
+
+
 # --------------------------------------------------------------------------
 # Truncated-eigenbasis surrogate
 
@@ -280,6 +365,37 @@ def test_sweep_gap_decreases_and_vanishes_at_full_rank():
     assert all(b <= a + 1e-10 for a, b in zip(gaps, gaps[1:]))
     sems = [r.seminorm_gap for r in rows]
     assert all(b <= a + 1e-10 for a, b in zip(sems, sems[1:]))
+
+
+@pytest.mark.parametrize("with_reference", [True, False])
+def test_sweep_rows_match_separate_truncated_solves(with_reference):
+    problem, _ = make_problem(n=90, sigma=0.1, window=120)
+    kernel = StableSpline(0.9)
+    spectrum = eigendecompose(truncate(kernel, 120))
+    gamma, rank = 3.0, spectrum.rank()
+    orders = [40, 3, 12, rank, 3]
+    reference = rels_estimate(problem, kernel, gamma) if with_reference \
+        else trunc_mercer_estimate(problem, spectrum, gamma, rank)
+    rows = sweep_d(problem, spectrum, gamma, orders,
+                   reference=reference if with_reference else None)
+    assert [r.order for r in rows] == sorted(set(orders))
+    ref_f = reference.impulse_response
+    ref_a = spectrum.eigenvectors[:, :rank].T @ ref_f
+    lam = spectrum.eigenvalues[:rank]
+    for row in rows:
+        est = trunc_mercer_estimate(problem, spectrum, gamma, row.order)
+        scale = np.linalg.norm(est.impulse_response)
+        assert np.linalg.norm(row.estimate.impulse_response
+                              - est.impulse_response) <= 1e-10 * scale
+        assert row.estimate.rss == pytest.approx(est.rss, rel=1e-10)
+        assert row.cost_proxy == est.diagnostics["cost_proxy"]
+        gap = np.linalg.norm(est.impulse_response - ref_f) \
+            / np.linalg.norm(ref_f)
+        assert row.l2_gap == pytest.approx(gap, rel=1e-8, abs=1e-12)
+        a = np.zeros(rank)
+        a[:row.order] = est.coefficients
+        sem = np.sqrt(np.sum((a - ref_a) ** 2 / lam))
+        assert row.seminorm_gap == pytest.approx(sem, rel=1e-8, abs=1e-10)
 
 
 def test_sweep_cost_proxy_grows_quadratically():
