@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError, DomainError, NumericalError
 from .generators import (
@@ -115,10 +114,14 @@ def minimal_laguerre_window(pole: float, tail: float = LAGUERRE_TAIL) -> int:
 def laguerre_basis(pole: float, count: int, window: int) -> OrthoBasis:
     """Discrete Laguerre functions via the first-order all-pass recurrence.
 
-    rho_1(t) = sqrt(1 - a^2) a^(t-1); each subsequent vector applies
-    y(t) = a y(t-1) + x(t-1) - a x(t). At a = 0 the recurrence
-    degenerates to a pure delay and the canonical basis comes out
-    exactly.
+    rho_1(t) = sqrt(1 - a^2) a^(t-1); each subsequent vector applies the
+    all-pass filter (z^-1 - a) / (1 - a z^-1) to the previous one, from
+    rest: y(t) = a y(t-1) + x(t-1) - a x(t) with x(0) = y(0) = 0. The
+    recurrence runs column by column over plain Python floats, count *
+    window scalar steps with no signal-processing import, rounding as
+    (x(t-1) + a y(t-1)) - a x(t), the order a transposed direct-form
+    filter uses. At a = 0 it degenerates to a pure delay and the
+    canonical basis comes out exactly.
     """
     a = float(pole)
     if not abs(a) < 1.0:
@@ -133,9 +136,16 @@ def laguerre_basis(pole: float, count: int, window: int) -> OrthoBasis:
     b = np.zeros((window, count))
     t = np.arange(1, window + 1, dtype=float)
     b[:, 0] = np.sqrt(1.0 - a * a) * a ** (t - 1.0)
+    column = b[:, 0].tolist()
     for k in range(1, count):
-        # transfer (z^-1 - a) / (1 - a z^-1) applied to the previous vector
-        b[:, k] = lfilter([-a, 1.0], [1.0, -a], b[:, k - 1])
+        y = previous = 0.0
+        out = []
+        for x in column:
+            y = previous + a * y - a * x
+            out.append(y)
+            previous = x
+        b[:, k] = out
+        column = out
     return OrthoBasis(kind="laguerre", window=window, vectors=b,
                       params={"pole": a})
 

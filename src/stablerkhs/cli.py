@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from typing import Any, Sequence
@@ -22,9 +21,8 @@ import numpy as np
 
 from . import basis as basis_mod
 from . import spectral, stability, sysid
-from .config import ExperimentConfig, config_from_dict, load_config
+from .config import ExperimentConfig, as_number, config_from_dict, load_config
 from .errors import ConfigError, DomainError, NumericalError, StructuralError
-from .generators import parse_generator
 from .kernels import KernelSpec, spec_from_config, truncate
 
 
@@ -58,13 +56,40 @@ def _write_json(path: str, payload: dict[str, Any]) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _param(params: dict[str, Any], key: str, default: Any,
+           kind: type = float) -> Any:
+    return as_number(params.get(key, default), kind, repr(key))
+
+
+def _param_list(params: dict[str, Any], key: str, default: list[Any],
+                kind: type = float) -> list[Any]:
+    value = params.get(key, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{key!r} must be a list of numbers, got {value!r}")
+    return [as_number(v, kind, f"each entry of {key!r}") for v in value]
+
+
+def _mercer_config(params: dict[str, Any], what: str) -> dict[str, Any]:
+    """Mercer kernel config from CLI params, numbers coerced."""
+    for key in ("basis", "count", "window", "eigenvalues"):
+        if key not in params:
+            raise ConfigError(f"{what} requires {key!r}")
+    cfg = {"family": "mercer", "basis": params["basis"],
+           "count": _param(params, "count", None, int),
+           "window": _param(params, "window", None, int),
+           "eigenvalues": params["eigenvalues"]}
+    if "pole" in params:
+        cfg["pole"] = _param(params, "pole", None)
+    return cfg
+
+
 def _kernel_config_from_params(params: dict[str, Any]) -> dict[str, Any]:
     """Translate CLI kernel params into a kernel config dict."""
     family = params.get("kernel", "stable-spline")
     if family == "stable-spline":
-        return {"family": family, "alpha": float(params.get("alpha", 0.95))}
+        return {"family": family, "alpha": _param(params, "alpha", 0.95)}
     if family == "gaussian":
-        return {"family": family, "width": float(params.get("width", 1.0))}
+        return {"family": family, "width": _param(params, "width", 1.0)}
     if family == "translation-invariant":
         if "h" not in params:
             raise ConfigError("translation-invariant kernel requires 'h'")
@@ -78,15 +103,7 @@ def _kernel_config_from_params(params: dict[str, Any]) -> dict[str, Any]:
             raise ConfigError("diagonal kernel requires 'g'")
         return {"family": family, "g": params["g"]}
     if family == "mercer":
-        for key in ("basis", "count", "window", "eigenvalues"):
-            if key not in params:
-                raise ConfigError(f"mercer kernel requires {key!r}")
-        cfg = {"family": "mercer", "basis": params["basis"],
-               "count": int(params["count"]), "window": int(params["window"]),
-               "eigenvalues": params["eigenvalues"]}
-        if "pole" in params:
-            cfg["pole"] = float(params["pole"])
-        return cfg
+        return _mercer_config(params, "mercer kernel")
     raise ConfigError(f"unknown kernel family {family!r}")
 
 
@@ -94,34 +111,39 @@ def _build_kernel(params: dict[str, Any]) -> KernelSpec:
     return spec_from_config(_kernel_config_from_params(params))
 
 
-def _parse_grid(value: Any) -> list[int]:
-    """Either a list of ints or a "start:stop:step" string."""
+def _parse_grid(params: dict[str, Any]) -> list[int]:
+    """params["grid"]: either a list of ints or a "start:stop:step" string."""
+    value = params.get("grid", "200:2000:200")
     if isinstance(value, str):
         parts = value.split(":")
         if len(parts) != 3:
             raise ConfigError(f"grid string must be start:stop:step, got {value!r}")
-        start, stop, step = (int(p) for p in parts)
+        start, stop, step = (as_number(p, int, f"grid bound in {value!r}")
+                             for p in parts)
         if step <= 0 or stop < start:
             raise ConfigError(f"bad grid range {value!r}")
         return list(range(start, stop + 1, step))
-    return [int(d) for d in value]
+    return _param_list(params, "grid", [], int)
 
 
-def _parse_track(value: Any) -> list[int]:
-    """Either a list of ints or a "1-5,100" style string."""
+def _parse_track(params: dict[str, Any]) -> list[int]:
+    """params["track"]: either a list of ints or a "1-5,100" style string."""
+    value = params.get("track", "1-5,100")
     if isinstance(value, str):
+        what = f"track index in {value!r}"
         out: list[int] = []
         for chunk in value.split(","):
             chunk = chunk.strip()
             if "-" in chunk:
                 lo, _, hi = chunk.partition("-")
-                out.extend(range(int(lo), int(hi) + 1))
+                out.extend(range(as_number(lo, int, what),
+                                 as_number(hi, int, what) + 1))
             elif chunk:
-                out.append(int(chunk))
+                out.append(as_number(chunk, int, what))
         if not out:
             raise ConfigError(f"empty track specification {value!r}")
         return out
-    return [int(i) for i in value]
+    return _param_list(params, "track", [], int)
 
 
 # --------------------------------------------------------------------------
@@ -143,8 +165,8 @@ def _cmd_classify(config: ExperimentConfig) -> int:
 def _cmd_spectrum(config: ExperimentConfig) -> int:
     params = dict(config.params)
     spec = _build_kernel(params)
-    grid = _parse_grid(params.get("grid", "200:2000:200"))
-    track = _parse_track(params.get("track", "1-5,100"))
+    grid = _parse_grid(params)
+    track = _parse_track(params)
     trace = spectral.convergence_scan(spec, grid, track,
                                       threads=config.threads)
     cols = [f"eig_{i}" for i in trace.tracked]
@@ -157,7 +179,7 @@ def _cmd_spectrum(config: ExperimentConfig) -> int:
                [[trace.grid[g], trace.grid[g + 1],
                  *(trace.discrepancies[i][g] for i in trace.tracked)]
                 for g in range(len(trace.grid) - 1)])
-    final = spectral.eigendecompose(truncate(spec, trace.grid[-1]))
+    final = trace.final
     _write_csv(_out_path(config.output_dir, "eigenvectors.csv"),
                ["t", *(f"rho_{i}" for i in trace.tracked)],
                [[t + 1, *(final.eigenvectors[t, i - 1] for i in trace.tracked)]
@@ -173,25 +195,8 @@ def _cmd_spectrum(config: ExperimentConfig) -> int:
 
 
 def _build_model(params: dict[str, Any]) -> basis_mod.MercerModel:
-    for key in ("basis", "count", "window", "eigenvalues"):
-        if key not in params:
-            raise ConfigError(f"synth requires {key!r}")
-    kind = params["basis"]
-    count, window = int(params["count"]), int(params["window"])
-    if kind == "canonical":
-        b = basis_mod.canonical_basis(count, window)
-    elif kind == "laguerre":
-        if "pole" not in params:
-            raise ConfigError("laguerre basis requires 'pole'")
-        b = basis_mod.laguerre_basis(float(params["pole"]), count, window)
-    elif kind == "random":
-        b = basis_mod.random_orthogonal_basis(int(params.get("seed", 0)),
-                                              count, window)
-    else:
-        raise ConfigError(f"unknown basis kind {kind!r}")
-    return basis_mod.MercerModel(basis=b,
-                                 eigenvalue_law=parse_generator(
-                                     params["eigenvalues"]))
+    return basis_mod.mercer_spec_from_config(
+        _mercer_config(params, "synth")).model
 
 
 def _cmd_synth(config: ExperimentConfig) -> int:
@@ -207,7 +212,8 @@ def _cmd_synth(config: ExperimentConfig) -> int:
         "certification": cert.to_dict(),
     }
     if "bound" in config.params:
-        result = basis_mod.bounded_l1_test(model, float(config.params["bound"]))
+        result = basis_mod.bounded_l1_test(
+            model, _param(config.params, "bound", None))
         payload["bounded_l1"] = result.to_dict()
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if config.output_dir is not None:
@@ -215,37 +221,10 @@ def _cmd_synth(config: ExperimentConfig) -> int:
     return 0
 
 
-def _number(value: Any, kind: type, what: str) -> Any:
-    """value as a finite int or float; anything else is a ConfigError."""
-    try:
-        out = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or (kind is float and not math.isfinite(out)):
-        raise ConfigError(f"{what} must be a finite number, got {value!r}")
-    return out
-
-
-def _param(params: dict[str, Any], key: str, default: Any,
-           kind: type = float) -> Any:
-    return _number(params.get(key, default), kind, repr(key))
-
-
-def _param_list(params: dict[str, Any], key: str, default: list[Any],
-                kind: type = float) -> list[Any]:
-    value = params.get(key, default)
-    if not isinstance(value, list):
-        raise ConfigError(f"{key!r} must be a list of numbers, got {value!r}")
-    return [_number(v, kind, f"each entry of {key!r}") for v in value]
-
-
 def _cmd_identify(config: ExperimentConfig) -> int:
     if config.seed is None:
         raise ConfigError("identify requires a seed (noise realizations must "
                           "be reproducible)")
-    seed = _number(config.seed, int, "seed")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     params = dict(config.params)
     alpha = _param(params, "alpha", 0.95)
     n = _param(params, "n", 200, int)
@@ -262,7 +241,7 @@ def _cmd_identify(config: ExperimentConfig) -> int:
     orders = _param_list(params, "orders", [], int)
     truth = sysid.decaying_exponential_mix(coeffs, poles, window)
     problem, f0 = sysid.simulate(truth, input_kind, n, sigma,
-                                 seed=seed, window=window)
+                                 seed=config.seed, window=window)
 
     kernel = spec_from_config({"family": "stable-spline", "alpha": alpha})
     spectrum = spectral.eigendecompose(truncate(kernel, window))
@@ -324,10 +303,10 @@ def _cmd_identify(config: ExperimentConfig) -> int:
 def _cmd_reconstruct(config: ExperimentConfig) -> int:
     params = dict(config.params)
     spec = _build_kernel(params)
-    d = int(params.get("d", 500))
+    d = _param(params, "d", 500, int)
     kernel = truncate(spec, d)
     spectrum = spectral.eigendecompose(kernel)
-    ranks = [int(r) for r in params.get("ranks", [0, 1, 2, 5, 10, 20, 50, d])]
+    ranks = _param_list(params, "ranks", [0, 1, 2, 5, 10, 20, 50, d], int)
     rows = []
     for r in sorted(set(min(r, d) for r in ranks)):
         _, err, tail = spectral.mercer_reconstruct(spectrum, r, reference=kernel)

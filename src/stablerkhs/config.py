@@ -8,6 +8,7 @@ loudly instead of silently running defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -32,6 +33,23 @@ PARAM_KEYS: dict[str, set[str]] = {
 
 TOP_KEYS = {"schema_version", "command", "seed", "output_dir", "threads",
             "params"}
+
+
+def as_number(value: Any, kind: type, what: str) -> Any:
+    """value as a finite float or an int; anything else is a ConfigError.
+
+    Bools and floats with a fractional part are not integers.
+    """
+    try:
+        out = None if isinstance(value, bool) else kind(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if kind is int and isinstance(value, float) and out != value:
+        out = None
+    if out is None or (kind is float and not math.isfinite(out)):
+        noun = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{what} must be {noun}, got {value!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -82,11 +100,19 @@ def config_from_dict(raw: dict[str, Any]) -> ExperimentConfig:
     params = raw.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("'params' must be an object")
+    seed = raw.get("seed")
+    if seed is not None:
+        seed = as_number(seed, int, "seed")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+    output_dir = raw.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
     return ExperimentConfig(
         command=raw["command"],
-        seed=raw.get("seed"),
-        output_dir=raw.get("output_dir"),
-        threads=int(raw.get("threads", 1)),
+        seed=seed,
+        output_dir=output_dir,
+        threads=as_number(raw.get("threads", 1), int, "threads"),
         params=dict(params),
     )
 

@@ -243,7 +243,7 @@ def parse_generator(spec: str) -> SequenceGenerator:
     Supported forms: "power:EXP", "geometric:RATIO", "const:VALUE",
     "lit:V1,V2,...".
     """
-    if ":" not in spec:
+    if not isinstance(spec, str) or ":" not in spec:
         raise DomainError(f"malformed generator spec {spec!r}, expected 'name:params'")
     name, _, arg = spec.partition(":")
     name = name.strip().lower()

@@ -18,7 +18,7 @@ additionally align each pair by the sign minimizing the discrepancy.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -128,6 +128,7 @@ class ConvergenceTrace:
     discrepancies: dict[int, np.ndarray]             # index -> len(grid)-1
     unreliable: frozenset[int] = frozenset()
     min_gaps: dict[int, float] = field(default_factory=dict)  # per d
+    final: Spectrum | None = None                    # spectrum at grid[-1]
 
     def __post_init__(self) -> None:
         for i, path in self.eigenvalue_paths.items():
@@ -154,10 +155,14 @@ def convergence_scan(spec: KernelSpec, grid: Sequence[int],
                      eps_gap: float = EPS_GAP) -> ConvergenceTrace:
     """Decompose K^(d) along an ascending grid and monitor tracked indices.
 
-    Decompositions at different orders are independent and may run on a
-    thread pool; the trace itself is assembled by a deterministic
-    sequential fold over ascending d, so the result does not depend on
-    the schedule.
+    The kernel is truncated once, at the largest order; smaller windows
+    are its leading blocks, which are entry-exact. Decompositions at
+    different orders are independent and may run on a thread pool; the
+    trace itself is assembled by a deterministic sequential fold over
+    ascending d, so the result does not depend on the schedule. The
+    spectrum at the largest order is kept on the trace as ``final``; the
+    smaller ones keep only their tracked leading eigenvectors, which
+    bounds the scan's memory by one full spectrum.
     """
     grid = [int(d) for d in grid]
     track = sorted(int(i) for i in track)
@@ -176,8 +181,14 @@ def convergence_scan(spec: KernelSpec, grid: Sequence[int],
     if cap is not None and grid[-1] > cap:
         raise ConfigError(f"grid order {grid[-1]} exceeds the kernel window {cap}")
 
+    big = truncate(spec, grid[-1])
+
     def spectrum_at(d: int) -> Spectrum:
-        return eigendecompose(truncate(spec, d), eps_gap=eps_gap)
+        if d == big.d:
+            return eigendecompose(big, eps_gap=eps_gap)
+        s = eigendecompose(big.leading(d), eps_gap=eps_gap)
+        # The fold reads no eigenvector past the last tracked index.
+        return replace(s, eigenvectors=s.eigenvectors[:, :track[-1]].copy())
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -206,7 +217,8 @@ def convergence_scan(spec: KernelSpec, grid: Sequence[int],
     min_gaps = {s.d: s.min_gap() for s in spectra}
     return ConvergenceTrace(grid=tuple(grid), tracked=tuple(track),
                             eigenvalue_paths=paths, discrepancies=discrepancies,
-                            unreliable=frozenset(unreliable), min_gaps=min_gaps)
+                            unreliable=frozenset(unreliable), min_gaps=min_gaps,
+                            final=spectra[-1])
 
 
 def mercer_reconstruct(spectrum: Spectrum, rank: int,

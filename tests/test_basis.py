@@ -35,6 +35,30 @@ def test_laguerre_zero_pole_is_canonical():
     np.testing.assert_array_equal(b.vectors, np.eye(10)[:, :5])
 
 
+def _lfilter_laguerre(a, count, window):
+    """Reference Laguerre columns from scipy's filter routine."""
+    from scipy.signal import lfilter
+
+    b = np.zeros((window, count))
+    t = np.arange(1, window + 1, dtype=float)
+    b[:, 0] = np.sqrt(1.0 - a * a) * a ** (t - 1.0)
+    for k in range(1, count):
+        b[:, k] = lfilter([-a, 1.0], [1.0, -a], b[:, k - 1])
+    return b
+
+
+@pytest.mark.parametrize("count", [1, 8, 40])
+@pytest.mark.parametrize("pole", [-0.9, -0.6, 0.0, 0.35, 0.8, 0.95])
+def test_laguerre_matches_lfilter_oracle(pole, count):
+    # Four minimal windows hold 40 functions within the Gram tolerance.
+    window = max(4 * minimal_laguerre_window(pole), count)
+    got = laguerre_basis(pole, count, window).vectors
+    ref = _lfilter_laguerre(pole, count, window)
+    assert np.abs(got - ref).max() <= 1e-14
+    if pole == 0.0:
+        np.testing.assert_array_equal(got, np.eye(window, count))
+
+
 def test_laguerre_first_vector_closed_form():
     b = laguerre_basis(0.8, 3, 400)
     assert b.vectors[0, 0] == pytest.approx(0.6, abs=1e-15)   # sqrt(1-0.64)

@@ -254,6 +254,35 @@ def test_identify_default_aic_grid_fits_a_short_window(tmp_path, capsys):
     assert 1 <= json.loads(out)["ls_selected_order"] <= 40
 
 
+#: A valid params block per command; each malformed case spoils one value.
+VALID_PARAMS = {
+    "identify": {"n": 20, "window": 60},
+    "classify": {"kernel": "stable-spline", "alpha": 0.9},
+    "spectrum": {"kernel": "stable-spline", "grid": "10:20:10", "track": "1,2"},
+    "synth": {"basis": "laguerre", "pole": 0.5, "count": 8, "window": 60,
+              "eigenvalues": "power:-2", "bound": 10},
+    "reconstruct": {"kernel": "stable-spline", "d": 20},
+}
+
+
+def _malformed_config(tmp_path, top, params):
+    command = top.get("command", "identify")
+    cfg = {"schema_version": 1, "command": command, "seed": 4,
+           "output_dir": str(tmp_path / "x"),
+           "params": {**VALID_PARAMS[command], **params}, **top}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return command, str(path)
+
+
+@pytest.mark.parametrize("command", sorted(VALID_PARAMS))
+def test_malformed_config_base_is_valid(tmp_path, capsys, command):
+    # The cases below differ from these configs in the one spoiled value.
+    code, _, err = run(capsys, command, "--config",
+                       _malformed_config(tmp_path, {"command": command}, {})[1])
+    assert code == 0, err
+
+
 @pytest.mark.parametrize("top, params", [
     ({}, {"gamma": "abc"}),
     ({}, {"n": "x"}),
@@ -266,15 +295,32 @@ def test_identify_default_aic_grid_fits_a_short_window(tmp_path, capsys):
     ({}, {"truth_poles": "x"}),
     ({"seed": "x"}, {}),
     ({"seed": -1}, {}),
+    ({"command": "classify", "threads": "abc"}, {}),
+    ({"command": "classify", "seed": "x"}, {}),
+    ({"command": "classify", "seed": True}, {}),
+    ({"command": "classify", "output_dir": 5}, {}),
+    ({"command": "classify"}, {"alpha": "abc"}),
+    ({"command": "classify"}, {"kernel": "translation-invariant", "h": 5}),
+    ({"command": "spectrum", "threads": "abc"}, {}),
+    ({"command": "spectrum", "threads": 1.5}, {}),
+    ({"command": "spectrum"}, {"alpha": "abc"}),
+    ({"command": "spectrum"}, {"grid": "a:b:c"}),
+    ({"command": "spectrum"}, {"grid": 5}),
+    ({"command": "spectrum"}, {"track": "a-b"}),
+    ({"command": "synth", "threads": "abc"}, {}),
+    ({"command": "synth"}, {"count": "x"}),
+    ({"command": "synth"}, {"pole": "x"}),
+    ({"command": "synth"}, {"bound": "x"}),
+    ({"command": "synth"}, {"eigenvalues": 5}),
+    ({"command": "reconstruct", "seed": "x"}, {}),
+    ({"command": "reconstruct"}, {"d": "x"}),
+    ({"command": "reconstruct"}, {"ranks": ["x"]}),
 ], ids=lambda v: json.dumps(v))
 def test_identify_malformed_input_is_config_error(tmp_path, capsys, top,
                                                   params):
-    cfg = {"schema_version": 1, "command": "identify", "seed": 4,
-           "output_dir": str(tmp_path / "x"),
-           "params": {"n": 20, "window": 60, **params}, **top}
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(cfg))
-    code, _, err = run(capsys, "identify", "--config", str(path))
+    # Despite the name, it covers every command: "command" in top picks it.
+    command, path = _malformed_config(tmp_path, top, params)
+    code, _, err = run(capsys, command, "--config", path)
     assert code == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err

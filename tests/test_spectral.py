@@ -154,6 +154,17 @@ def test_convergence_scan_threads_match_sequential():
                                       par.discrepancies[i])
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_convergence_scan_final_is_the_largest_window_spectrum(threads):
+    spec = StableSpline(0.9)
+    trace = convergence_scan(spec, [30, 60, 90], [1, 2, 3], threads=threads)
+    direct = eigendecompose(truncate(spec, 90))
+    assert trace.final.d == 90
+    np.testing.assert_array_equal(trace.final.eigenvalues, direct.eigenvalues)
+    np.testing.assert_array_equal(trace.final.eigenvectors,
+                                  direct.eigenvectors)
+
+
 def test_convergence_scan_flags_degenerate_indices():
     # identity-like diagonal kernel: every tracked index is near-degenerate
     trace = convergence_scan(Diagonal(Literal((2.0, 2.0, 2.0, 1.0))),
