@@ -29,14 +29,9 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from .config import BASIS_SCHEMA, KERNEL_SCHEMA, coerce_keys, schema_entry
 from .errors import ConfigError, DomainError, NumericalError
-from .generators import (
-    Geometric,
-    Literal,
-    PowerLaw,
-    SequenceGenerator,
-    parse_generator,
-)
+from .generators import Geometric, Literal, PowerLaw, SequenceGenerator
 from .kernels import KernelSpec, TruncatedKernel
 from .opnorm import ENUMERATION_CAP, NormEstimate, NormKind, NormMethod
 from .stability import CONVERGING, DIVERGING, ProbeResult, divergence_probe
@@ -155,6 +150,8 @@ def random_orthogonal_basis(seed: int, count: int, window: int) -> OrthoBasis:
     if count < 1 or window < count:
         raise DomainError(f"need window >= count >= 1, got count={count}, "
                           f"window={window}")
+    if seed < 0:
+        raise DomainError(f"basis seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     q, r = np.linalg.qr(rng.standard_normal((window, count)))
     q = q * np.sign(np.diag(r))          # deterministic sign convention
@@ -288,42 +285,45 @@ class MercerSynthesizedSpec(KernelSpec):
         return out
 
     def to_config(self) -> dict[str, Any]:
-        cfg = self.model.to_config()
-        basis = cfg.pop("basis")
-        out = {"family": self.family, "basis": basis["kind"],
-               "count": basis["count"], "window": basis["window"],
-               "eigenvalues": cfg["eigenvalues"]}
-        if "pole" in basis:
-            out["pole"] = basis["pole"]
-        if "seed" in basis:
-            out["seed"] = basis["seed"]
-        return out
+        """The mercer keys of config.KERNEL_SCHEMA plus the basis kind's."""
+        b = self.model.basis
+        return {"family": self.family, "basis": b.kind, "count": b.count,
+                "window": b.window,
+                "eigenvalues": self.model.eigenvalue_law.spec_string(),
+                **b.params}
 
     def label(self) -> str:
         return self.model.label()
 
 
+#: The builder of each basis kind, called with the count, the window and
+#: the kind's keys from config.BASIS_SCHEMA.
+_BASIS_BUILDERS = {"canonical": canonical_basis, "laguerre": laguerre_basis,
+                   "random": random_orthogonal_basis}
+
+
 def mercer_spec_from_config(config: dict[str, Any]) -> MercerSynthesizedSpec:
-    """Rebuild a synthesized-kernel spec from its key-value form."""
-    for key in ("basis", "eigenvalues", "count", "window"):
-        if key not in config:
-            raise DomainError(f"mercer kernel config requires {key!r}")
-    kind = config["basis"]
-    count = int(config["count"])
-    window = int(config["window"])
-    if kind == "canonical":
-        basis = canonical_basis(count, window)
-    elif kind == "laguerre":
-        if "pole" not in config:
-            raise DomainError("laguerre basis config requires 'pole'")
-        basis = laguerre_basis(float(config["pole"]), count, window)
-    elif kind == "random":
-        basis = random_orthogonal_basis(int(config.get("seed", 0)), count, window)
-    else:
-        raise DomainError(f"unknown basis kind {kind!r}")
-    model = MercerModel(basis=basis,
-                        eigenvalue_law=parse_generator(config["eigenvalues"]))
-    return MercerSynthesizedSpec(model)
+    """Rebuild a synthesized-kernel spec from its key-value form.
+
+    The keys are the mercer family's in config.KERNEL_SCHEMA plus those
+    config.BASIS_SCHEMA gives the basis kind named by "basis".
+    """
+    family = MercerSynthesizedSpec.family
+    what = f"{family} kernel"
+    values = {key: value for key, value in config.items() if key != "family"}
+    if config.get("family", family) != family:
+        raise DomainError(f"{what} config names family {config['family']!r}")
+    if "basis" not in values:
+        raise DomainError(f"{what} config requires 'basis'")
+    kind = values["basis"]
+    extra = schema_entry(BASIS_SCHEMA, kind, "basis kind")
+    values = coerce_keys(values, {**KERNEL_SCHEMA[family], **extra},
+                         f"{what} ({kind} basis)")
+    basis = _BASIS_BUILDERS[kind](count=values["count"],
+                                  window=values["window"],
+                                  **{key: values[key] for key in extra})
+    return MercerSynthesizedSpec(
+        MercerModel(basis=basis, eigenvalue_law=values["eigenvalues"]))
 
 
 def synthesize_kernel(model: MercerModel, d: int) -> TruncatedKernel:
@@ -341,7 +341,8 @@ def synthesize_kernel(model: MercerModel, d: int) -> TruncatedKernel:
     if not 1 <= d <= t:
         raise DomainError(f"need 1 <= d <= window {t}, got d={d}")
     residual = model.eigenvalue_tail_bound()
-    if not np.isfinite(residual) and model.basis.kind != "canonical":
+    overlap = np.count_nonzero(model.basis.vectors, axis=1).max() > 1
+    if not np.isfinite(residual) and overlap:
         raise DomainError(
             f"eigenvalue law {model.eigenvalue_law.spec_string()} is not "
             f"summable and the {model.basis.kind} basis vectors overlap; "

@@ -21,9 +21,18 @@ import numpy as np
 
 from . import basis as basis_mod
 from . import spectral, stability, sysid
-from .config import ExperimentConfig, as_number, config_from_dict, load_config
+from .config import (
+    CLI_KERNEL,
+    COMMAND_SCHEMA,
+    PARAM_KEYS,
+    TOP_KEYS,
+    ExperimentConfig,
+    as_number,
+    config_from_dict,
+    load_config,
+)
 from .errors import ConfigError, DomainError, NumericalError, StructuralError
-from .kernels import KernelSpec, spec_from_config, truncate
+from .kernels import KernelSpec, StableSpline, spec_from_config, truncate
 
 
 def _fmt(x: Any) -> str:
@@ -69,46 +78,21 @@ def _param_list(params: dict[str, Any], key: str, default: list[Any],
     return [as_number(v, kind, f"each entry of {key!r}") for v in value]
 
 
-def _mercer_config(params: dict[str, Any], what: str) -> dict[str, Any]:
-    """Mercer kernel config from CLI params, numbers coerced."""
-    for key in ("basis", "count", "window", "eigenvalues"):
-        if key not in params:
-            raise ConfigError(f"{what} requires {key!r}")
-    cfg = {"family": "mercer", "basis": params["basis"],
-           "count": _param(params, "count", None, int),
-           "window": _param(params, "window", None, int),
-           "eigenvalues": params["eigenvalues"]}
-    if "pole" in params:
-        cfg["pole"] = _param(params, "pole", None)
-    return cfg
+def _kernel_spec(config: ExperimentConfig) -> KernelSpec:
+    """The kernel that config's params describe.
 
-
-def _kernel_config_from_params(params: dict[str, Any]) -> dict[str, Any]:
-    """Translate CLI kernel params into a kernel config dict."""
-    family = params.get("kernel", "stable-spline")
-    if family == "stable-spline":
-        return {"family": family, "alpha": _param(params, "alpha", 0.95)}
-    if family == "gaussian":
-        return {"family": family, "width": _param(params, "width", 1.0)}
-    if family == "translation-invariant":
-        if "h" not in params:
-            raise ConfigError("translation-invariant kernel requires 'h'")
-        return {"family": family, "h": params["h"]}
-    if family == "rank-one":
-        if "v" not in params:
-            raise ConfigError("rank-one kernel requires 'v'")
-        return {"family": family, "v": params["v"]}
-    if family == "diagonal":
-        if "g" not in params:
-            raise ConfigError("diagonal kernel requires 'g'")
-        return {"family": family, "g": params["g"]}
-    if family == "mercer":
-        return _mercer_config(params, "mercer kernel")
-    raise ConfigError(f"unknown kernel family {family!r}")
-
-
-def _build_kernel(params: dict[str, Any]) -> KernelSpec:
-    return spec_from_config(_kernel_config_from_params(params))
+    Every params key that is not the command's own goes to
+    spec_from_config unchanged, so a key of another family is rejected
+    there. The "kernel" key names the family.
+    """
+    families, own = COMMAND_SCHEMA[config.command]
+    kernel = {key: value for key, value in config.params.items()
+              if key not in own}
+    kernel["family"] = (kernel.pop("kernel", CLI_KERNEL["family"])
+                        if len(families) > 1 else families[0])
+    if kernel["family"] == CLI_KERNEL["family"]:
+        kernel = {**CLI_KERNEL, **kernel}
+    return spec_from_config(kernel)
 
 
 def _parse_grid(params: dict[str, Any]) -> list[int]:
@@ -150,7 +134,7 @@ def _parse_track(params: dict[str, Any]) -> list[int]:
 # Command handlers
 
 def _cmd_classify(config: ExperimentConfig) -> int:
-    spec = _build_kernel(config.params)
+    spec = _kernel_spec(config)
     budget = stability.Budget(seed=config.seed or 0)
     report = stability.classify(spec, budget)
     sys.stdout.write(report.to_json())
@@ -164,7 +148,7 @@ def _cmd_classify(config: ExperimentConfig) -> int:
 
 def _cmd_spectrum(config: ExperimentConfig) -> int:
     params = dict(config.params)
-    spec = _build_kernel(params)
+    spec = _kernel_spec(config)
     grid = _parse_grid(params)
     track = _parse_track(params)
     trace = spectral.convergence_scan(spec, grid, track,
@@ -194,13 +178,8 @@ def _cmd_spectrum(config: ExperimentConfig) -> int:
     return 0
 
 
-def _build_model(params: dict[str, Any]) -> basis_mod.MercerModel:
-    return basis_mod.mercer_spec_from_config(
-        _mercer_config(params, "synth")).model
-
-
 def _cmd_synth(config: ExperimentConfig) -> int:
-    model = _build_model(config.params)
+    model = _kernel_spec(config).model
     cert = basis_mod.sufficient_stability_test(model)
     profile = basis_mod.l1_profile(model.basis)
     payload: dict[str, Any] = {
@@ -243,7 +222,7 @@ def _cmd_identify(config: ExperimentConfig) -> int:
     problem, f0 = sysid.simulate(truth, input_kind, n, sigma,
                                  seed=config.seed, window=window)
 
-    kernel = spec_from_config({"family": "stable-spline", "alpha": alpha})
+    kernel = StableSpline(alpha)
     spectrum = spectral.eigendecompose(truncate(kernel, window))
     rank = spectrum.rank()
     # The main estimate and the gamma path share one kernel Gram.
@@ -302,7 +281,7 @@ def _cmd_identify(config: ExperimentConfig) -> int:
 
 def _cmd_reconstruct(config: ExperimentConfig) -> int:
     params = dict(config.params)
-    spec = _build_kernel(params)
+    spec = _kernel_spec(config)
     d = _param(params, "d", 500, int)
     kernel = truncate(spec, d)
     spectrum = spectral.eigendecompose(kernel)
@@ -324,17 +303,14 @@ HANDLERS = {
     "reconstruct": _cmd_reconstruct,
 }
 
-#: Flags that feed the params block, per command.
-_PARAM_FLAGS = {
-    "classify": ["kernel", "alpha", "width", "h", "v", "g", "basis", "pole",
-                 "count", "window", "eigenvalues"],
-    "spectrum": ["kernel", "alpha", "width", "h", "v", "g", "basis", "pole",
-                 "count", "window", "eigenvalues", "grid", "track"],
-    "synth": ["basis", "pole", "count", "window", "eigenvalues", "bound"],
-    "identify": ["alpha", "input", "n", "sigma", "gamma", "window"],
-    "reconstruct": ["kernel", "alpha", "width", "h", "v", "g", "basis",
-                    "pole", "count", "window", "eigenvalues", "d"],
-}
+def _flags(command: str) -> dict[str, Any]:
+    """The params keys of command that have a flag, with their types.
+
+    List-valued keys have none, and neither has a key named like a
+    top-level key: --seed is the top-level seed.
+    """
+    return {key: kind for key, kind in PARAM_KEYS[command].items()
+            if kind is not list and key not in TOP_KEYS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -349,22 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--output-dir", default=None)
         p.add_argument("--threads", type=int, default=None)
-        flags = _PARAM_FLAGS[command]
-        if "kernel" in flags:
-            p.add_argument("--kernel", default=None,
-                           help="stable-spline | gaussian | "
-                                "translation-invariant | rank-one | diagonal "
-                                "| mercer")
-        for name, typ in (("alpha", float), ("width", float), ("pole", float),
-                          ("sigma", float), ("gamma", float), ("bound", float),
-                          ("count", int), ("window", int), ("n", int),
-                          ("d", int)):
-            if name in flags:
-                p.add_argument(f"--{name}", type=typ, default=None)
-        for name in ("h", "v", "g", "eigenvalues", "basis", "grid", "track",
-                     "input"):
-            if name in flags:
-                p.add_argument(f"--{name}", default=None)
+        families = " | ".join(COMMAND_SCHEMA[command][0])
+        for name, kind in _flags(command).items():
+            p.add_argument(f"--{name}", default=None,
+                           type=kind if kind in (int, float) else None,
+                           help=families if name == "kernel" else None)
     return parser
 
 
@@ -385,7 +350,7 @@ def resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         raw["output_dir"] = args.output_dir
     if args.threads is not None:
         raw["threads"] = args.threads
-    for name in _PARAM_FLAGS[args.command]:
+    for name in _flags(args.command):
         value = getattr(args, name, None)
         if value is not None:
             raw["params"][name] = value

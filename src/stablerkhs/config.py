@@ -2,7 +2,9 @@
 
 Configs round-trip losslessly through JSON. Validation is strict:
 unknown keys are rejected with the offending key named, so typos fail
-loudly instead of silently running defaults.
+loudly instead of silently running defaults. The kernel schema below is
+the one table of kernel keys; the params keys, the CLI flags and the
+kernel config round trip derive from it.
 """
 
 from __future__ import annotations
@@ -12,27 +14,111 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
+from .generators import parse_generator
 
 SCHEMA_VERSION = 1
 
-COMMANDS = ("classify", "spectrum", "synth", "identify", "reconstruct")
+# --------------------------------------------------------------------------
+# The kernel schema: the one table of which keys describe each kernel
+# design and of their types. Params validation, the CLI flags and the
+# kernel config round trip are all derived from it.
 
-#: Keys shared by every kernel block in params.
-KERNEL_KEYS = {"kernel", "alpha", "width", "h", "v", "g",
-               "basis", "pole", "count", "window", "eigenvalues"}
-
-PARAM_KEYS: dict[str, set[str]] = {
-    "classify": KERNEL_KEYS,
-    "spectrum": KERNEL_KEYS | {"grid", "track"},
-    "synth": {"basis", "pole", "count", "window", "eigenvalues", "bound"},
-    "identify": {"alpha", "truth_coeffs", "truth_poles", "input", "n",
-                 "sigma", "gamma", "gammas", "window", "orders"},
-    "reconstruct": KERNEL_KEYS | {"d", "ranks"},
+#: Each kernel family's config keys and their types. A float or int value
+#: is coerced by as_number; any other type is applied to the value as is
+#: (parse_generator reads a sequence spec such as "power:-2"). A family
+#: with a "basis" key also takes the keys of the basis kind it names.
+KERNEL_SCHEMA: dict[str, dict[str, Any]] = {
+    "stable-spline": {"alpha": float},
+    "gaussian": {"width": float},
+    "translation-invariant": {"h": parse_generator},
+    "rank-one": {"v": parse_generator},
+    "diagonal": {"g": parse_generator},
+    "mercer": {"basis": str, "count": int, "window": int,
+               "eigenvalues": parse_generator},
 }
+
+#: Each orthonormal basis kind's further keys and their types.
+BASIS_SCHEMA: dict[str, dict[str, Any]] = {
+    "canonical": {},
+    "laguerre": {"pole": float},
+    "random": {"seed": int},
+}
+
+#: Kernel keys a config may leave out, with the values they then take.
+KERNEL_DEFAULTS = {"width": 1.0, "seed": 0}
+
+#: The kernel the CLI builds when params name no family. When params name
+#: this family, its keys here are their defaults (the library requires
+#: them).
+CLI_KERNEL = {"family": "stable-spline", "alpha": 0.95}
+
+_ANY_FAMILY = tuple(KERNEL_SCHEMA)
+
+#: Per command: the kernel families it builds (none for identify) and its
+#: own params keys with their types. List-valued keys have no flag.
+COMMAND_SCHEMA: dict[str, tuple[tuple[str, ...], dict[str, type]]] = {
+    "classify": (_ANY_FAMILY, {}),
+    "spectrum": (_ANY_FAMILY, {"grid": str, "track": str}),
+    "synth": (("mercer",), {"bound": float}),
+    "identify": ((), {"alpha": float, "input": str, "n": int,
+                      "sigma": float, "gamma": float, "window": int,
+                      "truth_coeffs": list, "truth_poles": list,
+                      "gammas": list, "orders": list}),
+    "reconstruct": (_ANY_FAMILY, {"d": int, "ranks": list}),
+}
+
+COMMANDS = tuple(COMMAND_SCHEMA)
 
 TOP_KEYS = {"schema_version", "command", "seed", "output_dir", "threads",
             "params"}
+
+
+def _param_keys(command: str) -> dict[str, Any]:
+    families, own = COMMAND_SCHEMA[command]
+    # With a choice of family, the "kernel" key makes it.
+    keys: dict[str, Any] = {"kernel": str} if len(families) > 1 else {}
+    for family in families:
+        keys.update(KERNEL_SCHEMA[family])
+        if "basis" in KERNEL_SCHEMA[family]:
+            for extra in BASIS_SCHEMA.values():
+                keys.update(extra)
+    keys.update(own)
+    return keys
+
+
+#: Each command's params keys with their types.
+PARAM_KEYS = {command: _param_keys(command) for command in COMMANDS}
+
+
+def schema_entry(table: dict[str, Any], name: Any, what: str) -> Any:
+    """table[name]; an unknown or non-string name is a DomainError."""
+    if isinstance(name, str) and name in table:
+        return table[name]
+    raise DomainError(f"unknown {what} {name!r}")
+
+
+def coerce_keys(config: dict[str, Any], keys: dict[str, Any],
+                what: str) -> dict[str, Any]:
+    """config's values coerced to the types keys gives them.
+
+    A key outside keys is a DomainError naming it, and so is a key of
+    keys that config leaves out and KERNEL_DEFAULTS does not fill.
+    """
+    for key in config:
+        if key not in keys:
+            raise DomainError(f"unknown key {key!r} in {what} config")
+    out = {}
+    for key, kind in keys.items():
+        if key in config:
+            value = config[key]
+            out[key] = (as_number(value, kind, repr(key))
+                        if kind in (int, float) else kind(value))
+        elif key in KERNEL_DEFAULTS:
+            out[key] = KERNEL_DEFAULTS[key]
+        else:
+            raise DomainError(f"{what} config requires {key!r}")
+    return out
 
 
 def as_number(value: Any, kind: type, what: str) -> Any:

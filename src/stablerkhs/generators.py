@@ -32,6 +32,12 @@ NO = "no"
 UNKNOWN = "unknown"
 
 
+def _number(x: float) -> str:
+    """x as short :g text when that reads back as x, else its repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
 @dataclass(frozen=True)
 class SequenceGenerator:
     """Base class; subclasses implement the actual sequence."""
@@ -125,7 +131,7 @@ class PowerLaw(SequenceGenerator):
         return True
 
     def spec_string(self) -> str:
-        return f"power:{self.exponent:g}"
+        return f"power:{_number(self.exponent)}"
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ class Geometric(SequenceGenerator):
         return self.ratio >= 0
 
     def spec_string(self) -> str:
-        return f"geometric:{self.ratio:g}"
+        return f"geometric:{_number(self.ratio)}"
 
 
 @dataclass(frozen=True)
@@ -194,7 +200,7 @@ class Constant(SequenceGenerator):
         return self.value >= 0
 
     def spec_string(self) -> str:
-        return f"const:{self.value:g}"
+        return f"const:{_number(self.value)}"
 
 
 @dataclass(frozen=True)
@@ -234,7 +240,7 @@ class Literal(SequenceGenerator):
         return len(self.values)
 
     def spec_string(self) -> str:
-        return "lit:" + ",".join(f"{v:g}" for v in self.values)
+        return "lit:" + ",".join(_number(v) for v in self.values)
 
 
 def parse_generator(spec: str) -> SequenceGenerator:

@@ -15,8 +15,9 @@ from typing import Any
 
 import numpy as np
 
+from .config import KERNEL_SCHEMA, coerce_keys, schema_entry
 from .errors import DomainError, StructuralError
-from .generators import SequenceGenerator, parse_generator
+from .generators import SequenceGenerator
 
 #: Relative PSD tolerance: lambda_min >= -EPS_PSD * max(1, lambda_max).
 EPS_PSD = 1e-10
@@ -71,7 +72,13 @@ class KernelSpec:
         return None
 
     def to_config(self) -> dict[str, Any]:
-        raise NotImplementedError
+        """The family and the values of its KERNEL_SCHEMA keys."""
+        out: dict[str, Any] = {"family": self.family}
+        for key in KERNEL_SCHEMA[self.family]:
+            value = getattr(self, key)
+            out[key] = (value.spec_string()
+                        if isinstance(value, SequenceGenerator) else value)
+        return out
 
     def label(self) -> str:
         return self.family
@@ -105,9 +112,6 @@ class StableSpline(KernelSpec):
             raise DomainError(f"truncation order must be >= 1, got {d}")
         return self.alpha ** np.arange(1, d + 1, dtype=float)
 
-    def to_config(self) -> dict[str, Any]:
-        return {"family": self.family, "alpha": self.alpha}
-
     def label(self) -> str:
         return f"stable-spline(alpha={self.alpha:g})"
 
@@ -134,9 +138,6 @@ class Gaussian(KernelSpec):
         if d < 1:
             raise DomainError(f"truncation order must be >= 1, got {d}")
         return np.ones(d)
-
-    def to_config(self) -> dict[str, Any]:
-        return {"family": self.family, "width": self.width}
 
     def label(self) -> str:
         return f"gaussian(width={self.width:g})"
@@ -167,9 +168,6 @@ class TranslationInvariant(KernelSpec):
             raise DomainError(f"truncation order must be >= 1, got {d}")
         return np.full(d, self.h.lag(0))
 
-    def to_config(self) -> dict[str, Any]:
-        return {"family": self.family, "h": self.h.spec_string()}
-
     def label(self) -> str:
         return f"translation-invariant(h={self.h.spec_string()})"
 
@@ -197,9 +195,6 @@ class RankOne(KernelSpec):
     def support(self) -> int | None:
         return self.v.support()
 
-    def to_config(self) -> dict[str, Any]:
-        return {"family": self.family, "v": self.v.spec_string()}
-
     def label(self) -> str:
         return f"rank-one(v={self.v.spec_string()})"
 
@@ -225,9 +220,6 @@ class Diagonal(KernelSpec):
     @property
     def support(self) -> int | None:
         return self.g.support()
-
-    def to_config(self) -> dict[str, Any]:
-        return {"family": self.family, "g": self.g.spec_string()}
 
     def label(self) -> str:
         return f"diagonal(g={self.g.spec_string()})"
@@ -312,45 +304,26 @@ def validate_psd(kernel: TruncatedKernel, eps_psd: float = EPS_PSD) -> PsdCheck:
 def spec_from_config(config: dict[str, Any]) -> KernelSpec:
     """Rebuild a KernelSpec from its declarative key-value form.
 
-    Unknown keys are rejected with the offending key named.
+    The family's keys and their types are config.KERNEL_SCHEMA's. An
+    unknown key, a key of another family or a missing key is rejected
+    with the offending key named.
     """
     if "family" not in config:
         raise DomainError("kernel config is missing the 'family' key")
+    keys = schema_entry(KERNEL_SCHEMA, config["family"], "kernel family")
     family = config["family"]
-    known: dict[str, set[str]] = {
-        "stable-spline": {"family", "alpha"},
-        "gaussian": {"family", "width"},
-        "translation-invariant": {"family", "h"},
-        "rank-one": {"family", "v"},
-        "diagonal": {"family", "g"},
-        "mercer": {"family", "basis", "eigenvalues", "count", "window",
-                   "pole", "seed"},
-    }
-    if family not in known:
-        raise DomainError(f"unknown kernel family {family!r}")
-    for key in config:
-        if key not in known[family]:
-            raise DomainError(f"unknown key {key!r} in {family} kernel config")
-    if family == "stable-spline":
-        if "alpha" not in config:
-            raise DomainError("stable-spline config requires 'alpha'")
-        return StableSpline(float(config["alpha"]))
-    if family == "gaussian":
-        return Gaussian(float(config.get("width", 1.0)))
-    if family == "translation-invariant":
-        if "h" not in config:
-            raise DomainError("translation-invariant config requires 'h'")
-        return TranslationInvariant(parse_generator(config["h"]))
-    if family == "rank-one":
-        if "v" not in config:
-            raise DomainError("rank-one config requires 'v'")
-        return RankOne(parse_generator(config["v"]))
-    if family == "diagonal":
-        if "g" not in config:
-            raise DomainError("diagonal config requires 'g'")
-        return Diagonal(parse_generator(config["g"]))
-    # Synthesized kernels live in the basis module; import locally to keep
-    # the dependency one-way at module load time.
-    from .basis import mercer_spec_from_config
+    if family not in _CLOSED_FORMS:
+        # Synthesized kernels live in the basis module; import locally to
+        # keep the dependency one-way at module load time.
+        from .basis import mercer_spec_from_config
 
-    return mercer_spec_from_config(config)
+        return mercer_spec_from_config(config)
+    values = {key: value for key, value in config.items() if key != "family"}
+    return _CLOSED_FORMS[family](
+        **coerce_keys(values, keys, f"{family} kernel"))
+
+
+#: The closed-form families by name; the rest are synthesized.
+_CLOSED_FORMS = {cls.family: cls for cls in (StableSpline, Gaussian,
+                                             TranslationInvariant, RankOne,
+                                             Diagonal)}

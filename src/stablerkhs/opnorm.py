@@ -16,11 +16,6 @@ so computing it is a binary quadratic maximization. Two engines:
 
 * heuristic: best-of-restarts local ascent over single sign flips,
   deterministic given the seed. Always a valid lower bound.
-
-A numba-compiled twin of the exact scan is used when numba is
-importable; it executes the identical floating-point operations in the
-identical order, so results are bit-for-bit the same as the pure-Python
-path (tests compare them).
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ import numpy as np
 from .errors import DomainError, EnumerationCapError, StructuralError
 from .kernels import TruncatedKernel, validate_psd
 
-#: Default cap on exact enumeration: 2^27 Gray steps, a few seconds compiled.
+#: Default cap on exact enumeration: 2^27 Gray steps.
 ENUMERATION_CAP = 28
 
 #: Default restart count for the ascent heuristic.
@@ -70,12 +65,12 @@ class NormEstimate:
         return [int(x) for x in self.witness]
 
 
-def _gray_scan_py(k: np.ndarray) -> tuple[float, np.ndarray]:
-    """Reference Gray-code scan. Returns (best incremental q, best u)."""
+def _gray_scan(k: np.ndarray) -> tuple[float, np.ndarray]:
+    """Gray-code scan. Returns (best incremental q, best u)."""
     d = k.shape[0]
     u = np.ones(d)
-    # Sequential accumulation (not numpy pairwise sums) so this path is
-    # bit-identical to the compiled twin.
+    # Sequential accumulation (not numpy pairwise sums) fixes the
+    # rounding of the start values, so witnesses stay byte-stable.
     s = np.empty(d)
     for i in range(d):
         acc = 0.0
@@ -101,63 +96,6 @@ def _gray_scan_py(k: np.ndarray) -> tuple[float, np.ndarray]:
             best = q
             best_u = u.copy()
     return best, best_u
-
-
-def _make_gray_scan_nb():
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - depends on environment
-        return None
-
-    @numba.njit(cache=True)
-    def scan(k):  # pragma: no cover - exercised via wrapper
-        d = k.shape[0]
-        u = np.ones(d)
-        s = np.empty(d)
-        for i in range(d):
-            acc = 0.0
-            for j in range(d):
-                acc += k[i, j]
-            s[i] = acc
-        q = 0.0
-        for i in range(d):
-            q += s[i]
-        best = q
-        best_u = u.copy()
-        steps = (1 << (d - 1)) - 1
-        for t in range(1, steps + 1):
-            low = t & -t
-            p = 0
-            while low > 1:
-                low >>= 1
-                p += 1
-            p += 1
-            up = u[p]
-            q = q + 4.0 * (k[p, p] - up * s[p])
-            u[p] = -up
-            c = 2.0 * up
-            for i in range(d):
-                s[i] -= c * k[i, p]
-            if q > best:
-                best = q
-                for i in range(d):
-                    best_u[i] = u[i]
-        return best, best_u
-
-    return scan
-
-
-_gray_scan_nb = _make_gray_scan_nb()
-
-#: Set to True to force the pure-Python scan (used by equivalence tests).
-FORCE_PURE_PYTHON = False
-
-
-def _gray_scan(k: np.ndarray) -> tuple[float, np.ndarray]:
-    if _gray_scan_nb is not None and not FORCE_PURE_PYTHON:
-        best, best_u = _gray_scan_nb(np.ascontiguousarray(k))
-        return float(best), np.asarray(best_u)
-    return _gray_scan_py(k)
 
 
 def quadratic_form(k: np.ndarray, u: np.ndarray) -> float:

@@ -24,7 +24,15 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError, StructuralError
 from .generators import NO, UNKNOWN, YES
-from .kernels import KernelSpec, truncate, validate_psd
+from .kernels import (
+    Diagonal,
+    Gaussian,
+    KernelSpec,
+    RankOne,
+    TranslationInvariant,
+    truncate,
+    validate_psd,
+)
 from .opnorm import (
     ENUMERATION_CAP,
     NormEstimate,
@@ -395,9 +403,7 @@ def _analytic_pass(spec: KernelSpec) -> tuple[dict[str, str], list[TestRecord]]:
     """Closed-form class facts available for specific families."""
     flags: dict[str, str] = {}
     tests: list[TestRecord] = []
-    family = getattr(spec, "family", "")
-
-    if family in ("gaussian", "translation-invariant"):
+    if isinstance(spec, (Gaussian, TranslationInvariant)):
         h0 = spec.entry(1, 1)
         if h0 != 0.0:
             flags.update(finite_trace=NO, sq_summable=NO)
@@ -415,7 +421,7 @@ def _analytic_pass(spec: KernelSpec) -> tuple[dict[str, str], list[TestRecord]]:
                 detail="zero diagonal plus positive semidefiniteness force "
                        "the zero kernel"))
 
-    elif family == "rank-one":
+    elif isinstance(spec, RankOne):
         v = spec.v
         tests_detail = (f"factor sequence {v.spec_string()}: "
                         f"sum|v| {v.abs_summable()}, sum v^2 {v.sq_summable()}")
@@ -439,7 +445,7 @@ def _analytic_pass(spec: KernelSpec) -> tuple[dict[str, str], list[TestRecord]]:
                     flags.get("stable", flags.get("abs_summable")), UNDECIDED),
                 detail=tests_detail))
 
-    elif family == "diagonal":
+    elif isinstance(spec, Diagonal):
         g = spec.g
         if g.abs_summable() in (YES, NO) and g.nonnegative():
             # Diagonal kernels are their own eigendecomposition in the

@@ -163,6 +163,8 @@ def decaying_exponential_mix(coeffs: Sequence[float], poles: Sequence[float],
     """f0(t) = sum_m c_m p_m^t, the stock synthetic truth."""
     if len(coeffs) != len(poles):
         raise ConfigError("coefficient and pole lists must have equal length")
+    if length < 1:
+        raise DomainError(f"truth length must be >= 1, got {length}")
     t = np.arange(1, length + 1, dtype=float)
     out = np.zeros(length)
     for c, p in zip(coeffs, poles):

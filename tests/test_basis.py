@@ -206,6 +206,21 @@ def test_mercer_config_rejects_missing_keys():
         mercer_spec_from_config({"family": "mercer", "basis": "canonical"})
 
 
+def test_random_basis_rejects_a_negative_seed():
+    with pytest.raises(DomainError, match="seed"):
+        random_orthogonal_basis(-1, 4, 8)
+
+
+def test_laguerre_at_pole_zero_synthesizes_like_the_canonical_basis():
+    # Its vectors are the unit vectors, whose supports do not overlap, so
+    # a non-summable law is as safe as on the canonical basis.
+    law = PowerLaw(-1.0)
+    k = synthesize_kernel(MercerModel(laguerre_basis(0.0, 8, 8), law), 8)
+    np.testing.assert_array_equal(
+        k.entries, synthesize_kernel(MercerModel(canonical_basis(8), law),
+                                     8).entries)
+
+
 # --------------------------------------------------------------------------
 # Stability tests in feature space
 

@@ -1,10 +1,24 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablerkhs.cli import main
-from stablerkhs.config import ExperimentConfig, config_from_dict, load_config
+from stablerkhs.config import (
+    BASIS_SCHEMA,
+    COMMAND_SCHEMA,
+    COMMANDS,
+    KERNEL_SCHEMA,
+    PARAM_KEYS,
+    ExperimentConfig,
+    config_from_dict,
+    load_config,
+)
 from stablerkhs.errors import ConfigError
 
 
@@ -95,6 +109,152 @@ def test_classify_writes_report_files(tmp_path, capsys):
     report = json.loads((out_dir / "classify_report.json").read_text())
     assert report["verdict"] == "AnalyticallyStable"
     assert (out_dir / "classify_series.csv").exists()
+
+
+def _write_config(tmp_path, command, params, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps({"schema_version": 1, "command": command,
+                                "seed": 5, "params": params}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, argv, key", [
+    ("classify", ["--kernel", "stable-spline", "--width", "3"], "width"),
+    ("classify", ["--kernel", "gaussian", "--alpha", "0.5"], "alpha"),
+    ("classify", ["--kernel", "mercer", "--basis", "canonical", "--pole",
+                  "0.5", "--count", "8", "--window", "8",
+                  "--eigenvalues", "power:-2"], "pole"),
+    ("synth", ["--basis", "canonical", "--pole", "0.5", "--count", "8",
+               "--window", "8", "--eigenvalues", "power:-2"], "pole"),
+])
+def test_key_of_another_family_is_config_error(capsys, command, argv, key):
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2
+    assert err.startswith("config error:") and repr(key) in err
+    assert out == ""
+
+
+REPLAY_PARAMS = [
+    {"kernel": "stable-spline", "alpha": 0.9},
+    {"kernel": "gaussian", "width": 3.0},
+    {"kernel": "translation-invariant", "h": "geometric:0.5"},
+    {"kernel": "rank-one", "v": "power:-0.5000001"},
+    {"kernel": "diagonal", "g": "lit:3,1,2"},
+    {"kernel": "mercer", "basis": "canonical", "count": 16, "window": 16,
+     "eigenvalues": "power:-2"},
+    {"kernel": "mercer", "basis": "laguerre", "pole": 0.5, "count": 8,
+     "window": 60, "eigenvalues": "power:-4"},
+    {"kernel": "mercer", "basis": "random", "seed": 3, "count": 8,
+     "window": 32, "eigenvalues": "power:-3.7"},
+]
+
+
+@pytest.mark.parametrize("params", REPLAY_PARAMS,
+                         ids=lambda p: p.get("basis", p["kernel"]))
+def test_classify_report_replays_from_its_kernel_block(tmp_path, capsys,
+                                                       params):
+    code, first, err = run(capsys, "classify", "--config",
+                           _write_config(tmp_path, "classify", params))
+    assert code == 0, err
+    kernel = json.loads(first)["kernel"]
+    for key, value in params.items():
+        assert kernel["family" if key == "kernel" else key] == value
+    kernel["kernel"] = kernel.pop("family")
+    code, second, err = run(capsys, "classify", "--config",
+                            _write_config(tmp_path, "classify", kernel,
+                                          "replay.json"))
+    assert code == 0, err
+    assert second == first
+
+
+def test_finite_trace_follows_the_exact_factor(capsys):
+    # power:-0.5000001 is square-summable; power:-0.5 is not.
+    _, out, _ = run(capsys, "classify", "--kernel", "rank-one",
+                    "--v", "power:-0.5000001")
+    assert json.loads(out)["class_flags"]["finite_trace"] == "yes"
+    _, out, _ = run(capsys, "classify", "--kernel", "rank-one",
+                    "--v", "power:-0.5")
+    assert json.loads(out)["class_flags"]["finite_trace"] == "no"
+
+
+# --------------------------------------------------------------------------
+# Config fuzz: whatever the params, the exit code is 0, 2 or 3.
+
+_JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=6),
+                  st.sampled_from([0.5, -1, float("nan"), float("inf"),
+                                   [], ["x"], {"a": 1}]))
+_GENERATORS = st.sampled_from(["power:-2", "power:-0.5000001",
+                               "geometric:0.5", "const:1", "lit:3,1,2",
+                               "power:", "lit:1,-1,-1"])
+#: Good values per key; sizes stay at most 64 so every run is quick.
+_VALUES = {
+    "kernel": st.sampled_from(sorted(KERNEL_SCHEMA)),
+    "basis": st.sampled_from(sorted(BASIS_SCHEMA)),
+    "h": _GENERATORS, "v": _GENERATORS, "g": _GENERATORS,
+    "eigenvalues": _GENERATORS,
+    "alpha": st.floats(-0.5, 1.5), "width": st.floats(-1.0, 20.0),
+    "pole": st.floats(-1.0, 1.0), "bound": st.floats(-1.0, 200.0),
+    "sigma": st.floats(-0.1, 1.0), "gamma": st.floats(-1.0, 1e6),
+    "seed": st.integers(-1, 2 ** 40),
+    "count": st.integers(-1, 64), "window": st.integers(-1, 64),
+    "n": st.integers(-1, 64), "d": st.integers(-1, 64),
+    "grid": st.sampled_from(["10:30:10", "8:64:8", "30:10:10", [8, 16],
+                             "1:2"]),
+    "track": st.sampled_from(["1-3", "1,2", [1, 2], "5-1", "", "0"]),
+    "input": st.sampled_from(["white", "filtered", "step", "impulse",
+                              "pink"]),
+    "ranks": st.lists(st.integers(-1, 64), max_size=4),
+    "orders": st.lists(st.integers(-1, 64), max_size=4),
+    "gammas": st.lists(st.floats(-1.0, 1e6), max_size=3),
+    "truth_coeffs": st.lists(st.floats(-10.0, 10.0), max_size=3),
+    "truth_poles": st.lists(st.floats(-1.5, 1.5), max_size=3),
+}
+#: Keys given whenever they are drawn absent: their defaults are large.
+_SIZED = {"spectrum": "grid", "identify": "window", "reconstruct": "d"}
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    keys = sorted(PARAM_KEYS[command])
+    params = {}
+    families = COMMAND_SCHEMA[command][0]
+    if families and draw(st.booleans()):
+        # A whole kernel block, so that the fuzz gets past required keys.
+        family = draw(st.sampled_from(families))
+        if len(families) > 1:
+            params["kernel"] = family
+        for key in KERNEL_SCHEMA[family]:
+            params[key] = draw(_VALUES[key])
+        for key in BASIS_SCHEMA.get(params.get("basis"), ()):
+            params[key] = draw(_VALUES[key])
+    for key in draw(st.lists(st.sampled_from(keys), unique=True)):
+        params[key] = draw(st.one_of(_VALUES[key], _JUNK))
+    if command in _SIZED:
+        params.setdefault(_SIZED[command], draw(_VALUES[_SIZED[command]]))
+    if command == "identify":
+        params.setdefault("n", draw(_VALUES["n"]))
+    if draw(st.booleans()):
+        params[draw(st.sampled_from(["wobble", "family", "kernel"]))] = (
+            draw(_JUNK))
+    return command, params
+
+
+@given(case=_fuzzed_configs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_fuzzed_params_exit_cleanly(case):
+    command, params = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump({"command": command, "seed": 1, "output_dir": tmp,
+                       "params": params}, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([command, "--config", path])
+    assert code in (0, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 # --------------------------------------------------------------------------
@@ -293,6 +453,7 @@ def test_malformed_config_base_is_valid(tmp_path, capsys, command):
     ({}, {"gammas": 5}),
     ({}, {"orders": ["z"]}),
     ({}, {"truth_poles": "x"}),
+    ({}, {"window": 0}),
     ({"seed": "x"}, {}),
     ({"seed": -1}, {}),
     ({"command": "classify", "threads": "abc"}, {}),

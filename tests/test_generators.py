@@ -75,9 +75,15 @@ def test_abs_sum_limits_against_partial_sums():
 
 def test_spec_string_round_trip():
     for gen in (PowerLaw(-1.0), Geometric(0.95), Constant(2.0),
-                Literal((1.0, -2.5, 3.0))):
+                Literal((1.0, -2.5, 3.0)), PowerLaw(-0.5000001),
+                Geometric(1 / 3), Constant(0.1 + 0.2),
+                Literal((-0.5000001, 1 / 3, 0.1 + 0.2))):
         again = parse_generator(gen.spec_string())
         assert again == gen
+    # Short text wherever it is exact, so such spec strings are unchanged.
+    assert PowerLaw(-1.0).spec_string() == "power:-1"
+    assert Literal((3.0, 1.0, 2.0)).spec_string() == "lit:3,1,2"
+    assert PowerLaw(-0.5000001).spec_string() == "power:-0.5000001"
 
 
 def test_parse_rejects_malformed_specs():

@@ -4,7 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablerkhs.errors import DomainError, StructuralError
-from stablerkhs.generators import Geometric, Literal, PowerLaw
+from stablerkhs.basis import (
+    MercerModel,
+    MercerSynthesizedSpec,
+    canonical_basis,
+    laguerre_basis,
+    minimal_laguerre_window,
+    random_orthogonal_basis,
+)
+from stablerkhs.config import BASIS_SCHEMA
+from stablerkhs.generators import Constant, Geometric, Literal, PowerLaw
 from stablerkhs.kernels import (
     Diagonal,
     Gaussian,
@@ -164,6 +173,59 @@ def test_config_round_trip():
         again = spec_from_config(spec.to_config())
         assert again.to_config() == spec.to_config()
         assert again.entry(3, 5) == spec.entry(3, 5)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_generators = st.one_of(
+    _finite.map(PowerLaw), _finite.map(Geometric), _finite.map(Constant),
+    st.lists(_finite, min_size=1, max_size=4).map(
+        lambda v: Literal(tuple(v))))
+_closed_forms = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True).map(StableSpline),
+    st.floats(0.0, 1e300, exclude_min=True).map(Gaussian),
+    _generators.map(TranslationInvariant), _generators.map(RankOne),
+    _generators.map(Diagonal))
+#: Eigenvalue laws a Mercer model accepts: non-negative, non-increasing.
+_eigenvalue_laws = st.one_of(
+    st.floats(-1e3, 0.0).map(PowerLaw), st.floats(0.0, 1.0).map(Geometric),
+    st.floats(0.0, 1e3).map(Constant),
+    st.lists(st.floats(0.0, 1e3), min_size=1, max_size=4).map(
+        lambda v: Literal(tuple(sorted(v, reverse=True)))))
+
+
+@st.composite
+def _mercer_specs(draw):
+    count = draw(st.integers(1, 6))
+    pad = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(sorted(BASIS_SCHEMA)))
+    if kind == "laguerre":
+        pole = draw(st.floats(-0.9, 0.9))
+        window = max(count, minimal_laguerre_window(pole)) + pad
+        basis = laguerre_basis(pole, count, window)
+    elif kind == "random":
+        basis = random_orthogonal_basis(draw(st.integers(0, 2 ** 63)),
+                                        count, count + pad)
+    else:
+        basis = canonical_basis(count, count + pad)
+    return MercerSynthesizedSpec(MercerModel(basis, draw(_eigenvalue_laws)))
+
+
+def _leading_block(spec):
+    """The leading 4 x 4 block, or the message of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return truncate(spec, 4).entries
+    except (DomainError, ArithmeticError) as exc:
+        return repr(exc)
+
+
+@given(spec=st.one_of(_closed_forms, _mercer_specs()))
+@settings(max_examples=150, deadline=None)
+def test_config_round_trip_every_family_and_basis(spec):
+    again = spec_from_config(spec.to_config())
+    assert again.to_config() == spec.to_config()
+    np.testing.assert_array_equal(_leading_block(again),
+                                  _leading_block(spec))
 
 
 def test_config_rejects_unknown_keys_and_families():

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import as_kernel, random_psd
 
-import stablerkhs.opnorm as opnorm
 from stablerkhs.errors import EnumerationCapError, StructuralError
 from stablerkhs.opnorm import (
     NormKind,
@@ -108,24 +107,11 @@ def test_exact_rejects_non_psd():
         inf_one_norm_exact(as_kernel([[1.0, 2.0], [2.0, 1.0]]))
 
 
-def test_pure_python_fallback_full_api(monkeypatch):
-    # simulate a numba-less environment end to end
-    monkeypatch.setattr(opnorm, "FORCE_PURE_PYTHON", True)
+def test_pure_python_fallback_full_api():
     k = as_kernel(random_psd(77, 9))
     est = inf_one_norm_exact(k)
     oracle, _ = brute_force_inf_one_norm(k.entries)
     assert est.value == pytest.approx(oracle, rel=1e-12)
-
-
-def test_python_and_compiled_scans_agree():
-    if opnorm._gray_scan_nb is None:
-        pytest.skip("numba not available")
-    for seed in range(10):
-        k = np.ascontiguousarray(as_kernel(random_psd(seed, 3 + seed)).entries)
-        best_nb, u_nb = opnorm._gray_scan_nb(k)
-        best_py, u_py = opnorm._gray_scan_py(k)
-        assert best_nb == best_py            # bit-identical op order
-        np.testing.assert_array_equal(u_nb, u_py)
 
 
 def test_sign_matrix_enumerates_all_patterns():
