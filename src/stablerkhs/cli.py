@@ -25,9 +25,11 @@ from .config import (
     CLI_KERNEL,
     COMMAND_SCHEMA,
     PARAM_KEYS,
+    SIZE_KEYS,
     TOP_KEYS,
     ExperimentConfig,
     as_number,
+    as_size,
     config_from_dict,
     load_config,
 )
@@ -65,9 +67,16 @@ def _write_json(path: str, payload: dict[str, Any]) -> None:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
+def _coerce(key: str, value: Any, kind: type, what: str) -> Any:
+    """value as kind; a value of a SIZE_KEYS key must be a bounded int."""
+    if key in SIZE_KEYS:
+        return as_size(value, what)
+    return as_number(value, kind, what)
+
+
 def _param(params: dict[str, Any], key: str, default: Any,
            kind: type = float) -> Any:
-    return as_number(params.get(key, default), kind, repr(key))
+    return _coerce(key, params.get(key, default), kind, repr(key))
 
 
 def _param_list(params: dict[str, Any], key: str, default: list[Any],
@@ -75,7 +84,7 @@ def _param_list(params: dict[str, Any], key: str, default: list[Any],
     value = params.get(key, default)
     if not isinstance(value, list):
         raise ConfigError(f"{key!r} must be a list of numbers, got {value!r}")
-    return [as_number(v, kind, f"each entry of {key!r}") for v in value]
+    return [_coerce(key, v, kind, f"each entry of {key!r}") for v in value]
 
 
 def _kernel_spec(config: ExperimentConfig) -> KernelSpec:
@@ -102,7 +111,7 @@ def _parse_grid(params: dict[str, Any]) -> list[int]:
         parts = value.split(":")
         if len(parts) != 3:
             raise ConfigError(f"grid string must be start:stop:step, got {value!r}")
-        start, stop, step = (as_number(p, int, f"grid bound in {value!r}")
+        start, stop, step = (as_size(p, f"grid bound in {value!r}")
                              for p in parts)
         if step <= 0 or stop < start:
             raise ConfigError(f"bad grid range {value!r}")
@@ -120,10 +129,9 @@ def _parse_track(params: dict[str, Any]) -> list[int]:
             chunk = chunk.strip()
             if "-" in chunk:
                 lo, _, hi = chunk.partition("-")
-                out.extend(range(as_number(lo, int, what),
-                                 as_number(hi, int, what) + 1))
+                out.extend(range(as_size(lo, what), as_size(hi, what) + 1))
             elif chunk:
-                out.append(as_number(chunk, int, what))
+                out.append(as_size(chunk, what))
         if not out:
             raise ConfigError(f"empty track specification {value!r}")
         return out
@@ -173,7 +181,12 @@ def _cmd_spectrum(config: ExperimentConfig) -> int:
         "grid": list(trace.grid),
         "tracked": list(trace.tracked),
         "unreliable_tracked": sorted(trace.unreliable),
-        "min_adjacent_gaps": {str(d): g for d, g in trace.min_gaps.items()},
+        # Ordered by d; a gap over fewer than two resolved eigenvalues
+        # is null.
+        "min_adjacent_gaps": [
+            {"d": d, "min_gap": g if np.isfinite(g) else None,
+             "clamped": trace.clamped[d]}
+            for d, g in trace.min_gaps.items()],
     })
     return 0
 

@@ -70,6 +70,16 @@ COMMAND_SCHEMA: dict[str, tuple[tuple[str, ...], dict[str, type]]] = {
 
 COMMANDS = tuple(COMMAND_SCHEMA)
 
+#: The largest magnitude of a value that sizes an array: a count, an
+#: order, a window or a grid bound. It is far above the paper's largest
+#: order (2000) and is checked before anything is allocated.
+MAX_SIZE = 2**15
+
+#: The int keys whose values (or each of whose entries or bounds) size
+#: arrays, so as_size checks them against MAX_SIZE.
+SIZE_KEYS = frozenset({"count", "window", "d", "n", "ranks", "orders",
+                       "grid", "track"})
+
 TOP_KEYS = {"schema_version", "command", "seed", "output_dir", "threads",
             "params"}
 
@@ -112,8 +122,12 @@ def coerce_keys(config: dict[str, Any], keys: dict[str, Any],
     for key, kind in keys.items():
         if key in config:
             value = config[key]
-            out[key] = (as_number(value, kind, repr(key))
-                        if kind in (int, float) else kind(value))
+            if key in SIZE_KEYS:
+                out[key] = as_size(value, repr(key))
+            elif kind in (int, float):
+                out[key] = as_number(value, kind, repr(key))
+            else:
+                out[key] = kind(value)
         elif key in KERNEL_DEFAULTS:
             out[key] = KERNEL_DEFAULTS[key]
         else:
@@ -135,6 +149,15 @@ def as_number(value: Any, kind: type, what: str) -> Any:
     if out is None or (kind is float and not math.isfinite(out)):
         noun = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{what} must be {noun}, got {value!r}")
+    return out
+
+
+def as_size(value: Any, what: str) -> int:
+    """value as an int of magnitude at most MAX_SIZE, else a ConfigError."""
+    out = as_number(value, int, what)
+    if abs(out) > MAX_SIZE:
+        raise ConfigError(f"{what} must be at most {MAX_SIZE} in magnitude, "
+                          f"got {value!r}")
     return out
 
 

@@ -50,10 +50,18 @@ class Spectrum:
         return int(np.count_nonzero(self.eigenvalues > 0.0))
 
     def min_gap(self) -> float:
-        """Smallest adjacent eigenvalue gap (inf for d = 1)."""
-        if self.d < 2:
+        """Smallest adjacent gap among the resolved eigenvalues.
+
+        An eigenvalue is resolved when it exceeds EPS_PSD * lambda_1;
+        below that the eigensolver's rounding (and the clamping of small
+        negatives to zero) decides it, so equal zeros there are no
+        multiplicity. inf when fewer than two are resolved.
+        """
+        lam = self.eigenvalues
+        resolved = lam[lam > EPS_PSD * lam[0]] if self.d else lam
+        if resolved.size < 2:
             return float("inf")
-        return float(np.min(np.abs(np.diff(self.eigenvalues))))
+        return float(np.min(np.abs(np.diff(resolved))))
 
 
 def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
@@ -128,6 +136,7 @@ class ConvergenceTrace:
     discrepancies: dict[int, np.ndarray]             # index -> len(grid)-1
     unreliable: frozenset[int] = frozenset()
     min_gaps: dict[int, float] = field(default_factory=dict)  # per d
+    clamped: dict[int, int] = field(default_factory=dict)     # per d
     final: Spectrum | None = None                    # spectrum at grid[-1]
 
     def __post_init__(self) -> None:
@@ -214,10 +223,11 @@ def convergence_scan(spec: KernelSpec, grid: Sequence[int],
             above = abs(lam[i - 2] - lam[i - 1]) if i >= 2 else np.inf
             if min(below, above) < gap_tol:
                 unreliable.add(i)
-    min_gaps = {s.d: s.min_gap() for s in spectra}
     return ConvergenceTrace(grid=tuple(grid), tracked=tuple(track),
                             eigenvalue_paths=paths, discrepancies=discrepancies,
-                            unreliable=frozenset(unreliable), min_gaps=min_gaps,
+                            unreliable=frozenset(unreliable),
+                            min_gaps={s.d: s.min_gap() for s in spectra},
+                            clamped={s.d: s.clamped for s in spectra},
                             final=spectra[-1])
 
 

@@ -42,7 +42,6 @@ from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .basis import OrthoBasis
 from .errors import ConfigError, DomainError, NumericalError
@@ -297,8 +296,12 @@ def _ridge_solve(a: np.ndarray, gamma: float, b: np.ndarray,
     """Solve (a + gamma I) x = b for symmetric PSD a, gamma > 0.
 
     The shifted matrix is one Fortran-ordered copy that the Cholesky
-    factorization (lower triangle) then overwrites in place.
+    factorization (lower triangle) then overwrites in place. scipy is
+    imported here, at the first solve, so that importing the package
+    loads only numpy.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     m = np.array(a, order="F")
     m[np.diag_indices_from(m)] += gamma
     try:

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +15,16 @@ from stablerkhs.config import (
     COMMAND_SCHEMA,
     COMMANDS,
     KERNEL_SCHEMA,
+    MAX_SIZE,
     PARAM_KEYS,
     ExperimentConfig,
+    as_size,
     config_from_dict,
     load_config,
 )
 from stablerkhs.errors import ConfigError
+from stablerkhs.kernels import EPS_PSD, StableSpline, truncate
+from stablerkhs.spectral import eigendecompose
 
 
 def run(capsys, *argv):
@@ -308,6 +313,28 @@ def test_spectrum_threads_do_not_change_output(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_spectrum_gaps_cover_resolved_eigenvalues_in_order_of_d(tmp_path,
+                                                                 capsys):
+    # At alpha 0.5 the windows past d = 32 resolve only 32 eigenvalues and
+    # clamp some of the rest to zero, so a gap over all of them reads 0.
+    out_dir = tmp_path / "s"
+    code, _, _ = run(capsys, "spectrum", "--kernel", "stable-spline",
+                     "--alpha", "0.5", "--grid", "50:200:50", "--track",
+                     "1,2", "--output-dir", str(out_dir))
+    assert code == 0
+    summary = json.loads((out_dir / "spectrum_summary.json").read_text())
+    gaps = summary["min_adjacent_gaps"]
+    assert [entry["d"] for entry in gaps] == [50, 100, 150, 200]
+    for entry in gaps:
+        s = eigendecompose(truncate(StableSpline(0.5), entry["d"]))
+        lam = s.eigenvalues
+        resolved = lam[lam > EPS_PSD * lam[0]]
+        assert entry["clamped"] == s.clamped
+        assert entry["min_gap"] == float(np.abs(np.diff(resolved)).min())
+        assert entry["min_gap"] > 0.0
+    assert gaps[-1]["clamped"] >= 2
+
+
 # --------------------------------------------------------------------------
 # synth
 
@@ -485,6 +512,44 @@ def test_identify_malformed_input_is_config_error(tmp_path, capsys, top,
     assert code == 2
     assert err.startswith("config error:")
     assert "Traceback" not in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_size_ceiling_bounds_magnitude():
+    assert as_size(MAX_SIZE, "d") == MAX_SIZE
+    assert as_size(-MAX_SIZE, "d") == -MAX_SIZE
+    assert as_size(float(MAX_SIZE), "d") == MAX_SIZE
+    for value in (MAX_SIZE + 1, -MAX_SIZE - 1, 1e300, "99999999999999999999"):
+        with pytest.raises(ConfigError, match=f"at most {MAX_SIZE}"):
+            as_size(value, "d")
+
+
+# Each size is far past MAX_SIZE, so the check rejects it before anything
+# is allocated.
+@pytest.mark.parametrize("command, params", [
+    ("classify", {"kernel": "mercer", "basis": "canonical", "count": 4,
+                  "window": 1e300, "eigenvalues": "power:-2"}),
+    ("classify", {"kernel": "mercer", "basis": "canonical", "count": 1e300,
+                  "window": 8, "eigenvalues": "power:-2"}),
+    ("reconstruct", {"d": 1e12}),
+    ("reconstruct", {"ranks": [1, 1e300]}),
+    ("spectrum", {"grid": [10, 1e300]}),
+    ("spectrum", {"grid": "10:100000000000000000000:10"}),
+    ("synth", {"window": 1e300}),
+    ("identify", {"n": 1e300}),
+    ("identify", {"orders": [1e300]}),
+], ids=lambda v: json.dumps(v))
+def test_oversized_size_is_config_error(tmp_path, capsys, command, params):
+    if params.get("kernel") != "mercer":    # a Mercer kernel takes no alpha
+        params = {**VALID_PARAMS[command], **params}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"command": command, "seed": 4,
+                                "output_dir": str(tmp_path / "x"),
+                                "params": params}))
+    code, _, err = run(capsys, command, "--config", str(path))
+    assert code == 2
+    assert err.startswith("config error:")
+    assert f"at most {MAX_SIZE}" in err
     assert not (tmp_path / "x").exists()
 
 

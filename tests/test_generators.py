@@ -7,6 +7,7 @@ from stablerkhs.generators import (
     Geometric,
     Literal,
     PowerLaw,
+    _zeta,
     parse_generator,
 )
 
@@ -71,6 +72,27 @@ def test_abs_sum_limits_against_partial_sums():
     assert PowerLaw(-2.0).abs_sum_limit() == pytest.approx((i ** -2).sum(), abs=1e-4)
     assert Geometric(0.5).abs_sum_limit() == pytest.approx(1.0, abs=1e-12)
     assert Literal((1.0, -2.0, 3.0)).abs_sum_limit() == 6.0
+
+
+def test_zeta_matches_scipy_oracle():
+    from scipy.special import zeta
+
+    # Dense near the pole at s = 1, where the tail term dominates.
+    s = np.concatenate([1.0 + np.geomspace(1e-6, 1.0, 300, endpoint=False),
+                        np.linspace(2.0, 60.0, 700)])
+    got = np.array([_zeta(float(x)) for x in s])
+    ref = zeta(s)
+    assert np.all(np.abs(got - ref) <= 4e-15 * ref)
+    # Closed forms, independent of the oracle.
+    assert _zeta(2.0) == pytest.approx(np.pi ** 2 / 6, rel=4e-16)
+    assert _zeta(4.0) == pytest.approx(np.pi ** 4 / 90, rel=4e-16)
+
+
+def test_power_law_abs_sum_limit_is_zeta_only_when_summable():
+    assert PowerLaw(-2.0).abs_sum_limit() == _zeta(2.0)
+    assert PowerLaw(-4.5).abs_sum_limit() == _zeta(4.5)
+    assert PowerLaw(-1.0).abs_sum_limit() is None
+    assert PowerLaw(-0.5).abs_sum_limit() is None
 
 
 def test_spec_string_round_trip():
