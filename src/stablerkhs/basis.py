@@ -524,24 +524,19 @@ def ns_condition_ascent(lam: np.ndarray, bd: np.ndarray,
 
     Maintains w = diag(lam) bd' u; the gain of flipping coordinate p is
     4 (K_pp - u_p (K u)_p) with (K u)_p = bd[p] . w and
-    K_pp = sum_i lambda_i bd[p, i]^2, never forming K itself.
+    K_pp = sum_i lambda_i bd[p, i]^2, never forming K itself. The first
+    strictly improving flip in ascending index order is taken.
     """
-    d = bd.shape[0]
     diag = (bd * bd) @ lam
     w = lam * (bd.T @ u)
-    improved = True
-    while improved:
-        improved = False
-        ku = bd @ w
-        gains = 4.0 * (diag - u * ku)
-        for p in range(d):
-            if gains[p] > 0.0:
-                up = u[p]
-                u[p] = -up
-                w = w - (2.0 * up) * (lam * bd[p, :])
-                improved = True
-                break
-    return u
+    while True:
+        gains = 4.0 * (diag - u * (bd @ w))
+        p = int((gains > 0.0).argmax())
+        if not gains[p] > 0.0:
+            return u
+        up = u[p]
+        u[p] = -up
+        w -= (2.0 * up) * (lam * bd[p, :])
 
 
 def ns_condition_estimate(model: MercerModel, d: int,

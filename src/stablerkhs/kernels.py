@@ -266,11 +266,22 @@ def truncate(spec: KernelSpec, d: int) -> TruncatedKernel:
     if cap is not None and d > cap:
         raise DomainError(f"{spec.label()} is materialized on a window of "
                           f"{cap}; cannot truncate at d={d}")
-    block = spec._block(d)
-    # Evaluate upper triangle, mirror: symmetry exact whatever the family does.
-    upper = np.triu(block)
-    k = upper + np.triu(block, 1).T
+    n = spec.support
+    if n is not None and n < d:
+        # Entries past the support are exact zeros: mirror the support
+        # block only and pad.
+        k = np.zeros((d, d))
+        k[:n, :n] = _mirrored_block(spec, n)
+    else:
+        k = _mirrored_block(spec, d)
     return TruncatedKernel(d, k, spec.to_config())
+
+
+def _mirrored_block(spec: KernelSpec, d: int) -> np.ndarray:
+    """Upper triangle of spec's d-block, mirrored: symmetry exact whatever
+    the family does."""
+    block = spec._block(d)
+    return np.triu(block) + np.triu(block, 1).T
 
 
 @dataclass(frozen=True)

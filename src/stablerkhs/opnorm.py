@@ -127,27 +127,22 @@ def inf_one_norm_exact(kernel: TruncatedKernel,
                         witness=best_u.copy())
 
 
-def _ascent(k: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _ascent(k: np.ndarray, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Greedy single-flip ascent on u' K u from the given start.
 
-    Coordinates are scanned in ascending index order and the first
-    strictly improving flip is taken (deterministic tie-breaking).
+    The first strictly improving flip in ascending index order is taken
+    (deterministic tie-breaking); row p of cols is the column K[:, p].
     """
-    d = k.shape[0]
     diag = np.diag(k)
     s = k @ u
-    improved = True
-    while improved:
-        improved = False
+    while True:
         gains = 4.0 * (diag - u * s)
-        for p in range(d):
-            if gains[p] > 0.0:
-                up = u[p]
-                u[p] = -up
-                s = s - (2.0 * up) * k[:, p]
-                improved = True
-                break
-    return u
+        p = int((gains > 0.0).argmax())
+        if not gains[p] > 0.0:
+            return u
+        up = u[p]
+        u[p] = -up
+        s -= (2.0 * up) * cols[p]
 
 
 def inf_one_norm_heuristic(kernel: TruncatedKernel,
@@ -163,6 +158,7 @@ def inf_one_norm_heuristic(kernel: TruncatedKernel,
         raise DomainError(f"need at least one restart, got {restarts}")
     k = kernel.entries
     d = kernel.d
+    cols = np.ascontiguousarray(k.T)
     best_val = -np.inf
     best_u: np.ndarray | None = None
     for r in range(restarts):
@@ -171,7 +167,7 @@ def inf_one_norm_heuristic(kernel: TruncatedKernel,
         else:
             rng = np.random.default_rng([seed, r])
             u = np.where(rng.random(d) < 0.5, -1.0, 1.0)
-        u = _ascent(k, u)
+        u = _ascent(k, cols, u)
         val = quadratic_form(k, u)
         if val > best_val:
             best_val = val

@@ -79,8 +79,11 @@ def window_sums(spec: KernelSpec, grid: Sequence[int]) -> tuple[np.ndarray, np.n
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("window grid must be strictly ascending")
     big = truncate(spec, grid[-1]).entries
-    abs_sums = np.array([np.abs(big[:d, :d]).sum() for d in grid])
-    sq_sums = np.array([(big[:d, :d] ** 2).sum() for d in grid])
+    abs_sums, sq_sums = np.empty(len(grid)), np.empty(len(grid))
+    for g, d in enumerate(grid):
+        window = np.abs(big[:d, :d])   # |x| * |x| is x**2 bit for bit
+        abs_sums[g] = window.sum()
+        sq_sums[g] = np.square(window, out=window).sum()
     return abs_sums, sq_sums
 
 
@@ -129,7 +132,7 @@ def divergence_probe(grid: Sequence[int], sums: Sequence[float],
     Decision rules, applied in order:
 
     1. non-finite values -> Diverging (overflow).
-    2. the last (up to three) increments all below rtol * |sum|
+    2. the last two increments both below rtol * |sum|
        -> Converging: the series has stabilized to the requested
        relative resolution.
     3. the last three increments non-decreasing -> Diverging: on a
@@ -237,7 +240,7 @@ def norm_growth_scan(spec: KernelSpec, grid: Sequence[int],
     estimates: list[NormEstimate] = []
     downgraded: list[int] = []
     for d in grid:
-        window = big.leading(d)
+        window = big if d == big.d else big.leading(d)
         want_exact = method == "exact" or (method == "auto" and d <= cap)
         if want_exact and d <= cap:
             estimates.append(inf_one_norm_exact(window, cap=cap))

@@ -228,6 +228,35 @@ def test_config_round_trip_every_family_and_basis(spec):
                                   _leading_block(spec))
 
 
+_SUPPORTED = {
+    "mercer-canonical": MercerSynthesizedSpec(MercerModel(
+        canonical_basis(5, 12), PowerLaw(-2.0))),
+    "mercer-laguerre": MercerSynthesizedSpec(MercerModel(
+        laguerre_basis(0.6, 8, 64), PowerLaw(-4.0))),
+    "mercer-random": MercerSynthesizedSpec(MercerModel(
+        random_orthogonal_basis(11, 6, 20), PowerLaw(-3.0))),
+    "rank-one-negative": spec_from_config(
+        {"family": "rank-one", "v": "lit:1,-2,0,-0.5,3"}),
+    "diagonal-literal": spec_from_config(
+        {"family": "diagonal", "g": "lit:3,0,1,0.5"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUPPORTED))
+def test_truncate_past_support_is_the_dense_mirror(name):
+    # Zero padding past the support must equal the triu mirror of the
+    # whole block bit for bit, -0.0 normalized to +0.0 included.
+    spec = _SUPPORTED[name]
+    n = spec.support
+    for d in (n - 1, n, n + 1, 2 * n, 7 * n):
+        block = spec._block(d)
+        dense = np.triu(block) + np.triu(block, 1).T
+        entries = truncate(spec, d).entries
+        assert np.array_equal(entries, dense)
+        assert np.array_equal(np.signbit(entries), np.signbit(dense))
+        assert not np.signbit(entries[n:, :]).any()
+
+
 def test_config_rejects_unknown_keys_and_families():
     with pytest.raises(DomainError, match="typo"):
         spec_from_config({"family": "gaussian", "typo": 1})

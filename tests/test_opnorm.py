@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import as_kernel, random_psd
 
+from stablerkhs.basis import ns_condition_ascent
 from stablerkhs.errors import EnumerationCapError, StructuralError
 from stablerkhs.opnorm import (
     NormKind,
@@ -191,3 +192,125 @@ def test_bounds_property(seed, m):
     assert tr <= exact * (1 + 1e-12) + 1e-12
     assert heur <= exact * (1 + 1e-12) + 1e-12
     assert exact <= (2.0 ** m) * tr * (1 + 1e-12) + 1e-12
+
+
+# --------------------------------------------------------------------------
+# The vectorized first-improving flip search against the scalar scan it
+# replaced: same flips in the same order, so bit-identical results.
+
+def _scalar_ascent(k, u):
+    d = k.shape[0]
+    diag = np.diag(k)
+    s = k @ u
+    improved = True
+    while improved:
+        improved = False
+        gains = 4.0 * (diag - u * s)
+        for p in range(d):
+            if gains[p] > 0.0:
+                up = u[p]
+                u[p] = -up
+                s = s - (2.0 * up) * k[:, p]
+                improved = True
+                break
+    return u
+
+
+def _scalar_heuristic(k, restarts, seed):
+    d = k.shape[0]
+    best_val, best_u = -np.inf, None
+    for r in range(restarts):
+        if r == 0:
+            u = np.ones(d)
+        else:
+            rng = np.random.default_rng([seed, r])
+            u = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+        u = _scalar_ascent(k, u)
+        val = quadratic_form(k, u)
+        if val > best_val:
+            best_val, best_u = val, u
+    if best_u[0] < 0:
+        best_u = -best_u
+    return best_val, best_u
+
+
+def _scalar_ns_ascent(lam, bd, u):
+    d = bd.shape[0]
+    diag = (bd * bd) @ lam
+    w = lam * (bd.T @ u)
+    improved = True
+    while improved:
+        improved = False
+        ku = bd @ w
+        gains = 4.0 * (diag - u * ku)
+        for p in range(d):
+            if gains[p] > 0.0:
+                up = u[p]
+                u[p] = -up
+                w = w - (2.0 * up) * (lam * bd[p, :])
+                improved = True
+                break
+    return u
+
+
+def _assert_heuristic_matches_scalar(matrix, restarts, seed):
+    kernel = as_kernel(matrix)
+    est = inf_one_norm_heuristic(kernel, restarts=restarts, seed=seed)
+    value, witness = _scalar_heuristic(kernel.entries, restarts, seed)
+    assert np.array_equal(est.witness, witness)
+    assert np.float64(est.value).tobytes() == np.float64(value).tobytes()
+
+
+def _padded(matrix, pad):
+    m = matrix.shape[0]
+    out = np.zeros((m + pad, m + pad))
+    out[:m, :m] = matrix
+    return out
+
+
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 40),
+       rank=st.integers(1, 40), pad=st.integers(0, 40),
+       restarts=st.integers(1, 6))
+@settings(max_examples=60, deadline=None)
+def test_ascent_matches_scalar_scan(seed, m, rank, pad, restarts):
+    matrix = random_psd(seed, m, rank=min(rank, m))
+    _assert_heuristic_matches_scalar(matrix, restarts, seed)
+    _assert_heuristic_matches_scalar(_padded(matrix, pad), restarts, seed)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.ones((9, 9)),                                  # rank one, all gains tied
+    np.outer([1.0, -1.0] * 6, [1.0, -1.0] * 6),       # tied, alternating signs
+    _padded(np.ones((3, 3)), 5),
+    np.zeros((7, 7)),                                 # all-zero window
+], ids=["ones", "alternating", "padded-ones", "zero"])
+def test_ascent_matches_scalar_scan_on_ties_and_zeros(matrix):
+    _assert_heuristic_matches_scalar(matrix, restarts=8, seed=3)
+
+
+# d >= 2: with a single nonzero row the true gain of its flip is 0, but
+# it rounds differently on the two sides of the gain and both scans can
+# keep flipping that coordinate forever.
+@given(seed=st.integers(0, 10_000), d=st.integers(2, 40),
+       n=st.integers(1, 12), pad=st.integers(0, 20))
+@settings(max_examples=60, deadline=None)
+def test_ns_condition_ascent_matches_scalar_scan(seed, d, n, pad):
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.random(n))[::-1]
+    bd = np.vstack([rng.standard_normal((d, n)), np.zeros((pad, n))])
+    u = np.where(rng.random(d + pad) < 0.5, -1.0, 1.0)
+    assert np.array_equal(ns_condition_ascent(lam, bd, u.copy()),
+                          _scalar_ns_ascent(lam, bd, u.copy()))
+
+
+@pytest.mark.parametrize("lam,bd", [
+    (np.array([1.0]), np.ones((9, 1))),               # rank one, tied gains
+    (np.array([2.0, 0.0]), np.zeros((6, 2))),         # all-zero window
+    (np.zeros(3), np.eye(5, 3)),
+], ids=["ones", "zero-basis", "zero-eigenvalues"])
+def test_ns_condition_ascent_matches_scalar_scan_on_ties_and_zeros(lam, bd):
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        u = np.where(rng.random(bd.shape[0]) < 0.5, -1.0, 1.0)
+        assert np.array_equal(ns_condition_ascent(lam, bd, u.copy()),
+                              _scalar_ns_ascent(lam, bd, u.copy()))
