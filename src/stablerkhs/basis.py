@@ -8,8 +8,8 @@ three ways:
 
 * the sharp criterion: sup over sign sequences u of
   sum_i lambda_i <rho_i, u>^2 is finite; on a finite window this is the
-  (inf,1) norm of the synthesized truncation, evaluated here directly in
-  eigen-coordinates (exact enumeration or sign-flip ascent);
+  (inf,1) norm of the synthesized truncation, evaluated on that window
+  by the opnorm engines (exact enumeration or sign-flip ascent);
 * a sufficient certificate: sum_i lambda_i |rho_i|_1^2 < infinity,
   which also forces kernel absolute summability;
 * the bounded-l1 reduction: when |rho_i|_1 <= A uniformly over the
@@ -32,9 +32,11 @@ import numpy as np
 from .config import BASIS_SCHEMA, KERNEL_SCHEMA, coerce_keys, schema_entry
 from .errors import ConfigError, DomainError, NumericalError
 from .generators import Geometric, Literal, PowerLaw, SequenceGenerator
-from .kernels import KernelSpec, TruncatedKernel
-from .opnorm import ENUMERATION_CAP, NormEstimate, NormKind, NormMethod
-from .stability import CONVERGING, DIVERGING, ProbeResult, divergence_probe
+from .kernels import KernelSpec, TruncatedKernel, truncate
+from .opnorm import (DEFAULT_RESTARTS, ENUMERATION_CAP, NormEstimate,
+                     inf_one_norm_exact, inf_one_norm_heuristic)
+from .stability import (CONVERGING, DIVERGING, ProbeResult, divergence_probe,
+                        window_sums)
 
 #: Elementwise Gram tolerance for materialized bases.
 EPS_ORTH = 1e-8
@@ -347,8 +349,6 @@ def synthesize_kernel(model: MercerModel, d: int) -> TruncatedKernel:
             f"eigenvalue law {model.eigenvalue_law.spec_string()} is not "
             f"summable and the {model.basis.kind} basis vectors overlap; "
             f"refusing to synthesize a misleading finite window")
-    from .kernels import truncate
-
     kernel = truncate(spec, d)
     source = dict(kernel.source)
     source["tail_residual_bound"] = residual if np.isfinite(residual) else "inf"
@@ -431,8 +431,6 @@ def sufficient_stability_test(model: MercerModel,
             g.append(t)
             cross_check_grid = g
         spec = MercerSynthesizedSpec(model)
-        from .stability import window_sums
-
         abs_sums, _ = window_sums(spec, list(cross_check_grid))
         cross = divergence_probe(list(cross_check_grid), abs_sums)
         contradiction = cross.decision == DIVERGING
@@ -488,96 +486,26 @@ def bounded_l1_test(model: MercerModel, bound: float) -> BoundedL1Result:
 
 # --------------------------------------------------------------------------
 # Sharp condition on the window: sup over sign vectors of
-# sum_i lambda_i <rho_i, u>^2, evaluated in eigen-coordinates.
-
-def _form_value(lam: np.ndarray, c: np.ndarray) -> float:
-    return float(np.dot(lam, c * c))
-
-
-def ns_condition_exact(lam: np.ndarray, bd: np.ndarray) -> tuple[float, np.ndarray]:
-    """Gray-code enumeration of the eigen-quadratic form on a d-window.
-
-    bd holds the windowed basis vectors as columns (d x n); the running
-    coefficient vector c = bd' u is updated in O(n) per sign flip.
-    """
-    d = bd.shape[0]
-    u = np.ones(d)
-    c = bd.sum(axis=0)
-    best = _form_value(lam, c)
-    best_u = u.copy()
-    steps = (1 << (d - 1)) - 1
-    for t in range(1, steps + 1):
-        p = 1 + ((t & -t).bit_length() - 1)
-        up = u[p]
-        u[p] = -up
-        c = c - (2.0 * up) * bd[p, :]
-        val = _form_value(lam, c)
-        if val > best:
-            best = val
-            best_u = u.copy()
-    return best, best_u
-
-
-def ns_condition_ascent(lam: np.ndarray, bd: np.ndarray,
-                        u: np.ndarray) -> np.ndarray:
-    """Greedy sign-flip ascent on the eigen-quadratic form.
-
-    Maintains w = diag(lam) bd' u; the gain of flipping coordinate p is
-    4 (K_pp - u_p (K u)_p) with (K u)_p = bd[p] . w and
-    K_pp = sum_i lambda_i bd[p, i]^2, never forming K itself. The first
-    strictly improving flip in ascending index order is taken.
-    """
-    diag = (bd * bd) @ lam
-    w = lam * (bd.T @ u)
-    while True:
-        gains = 4.0 * (diag - u * (bd @ w))
-        p = int((gains > 0.0).argmax())
-        if not gains[p] > 0.0:
-            return u
-        up = u[p]
-        u[p] = -up
-        w -= (2.0 * up) * (lam * bd[p, :])
-
+# sum_i lambda_i <rho_i, u>^2 = u' (B_d Lambda B_d') u.
 
 def ns_condition_estimate(model: MercerModel, d: int,
                           cap: int = ENUMERATION_CAP,
-                          restarts: int = 16, seed: int = 0) -> NormEstimate:
+                          restarts: int = DEFAULT_RESTARTS,
+                          seed: int = 0) -> NormEstimate:
     """sup over sign vectors u of sum_i lambda_i <rho_i, u>^2 on a d-window.
 
-    Exact (Gray enumeration) up to the cap, sign-flip ascent beyond. By
-    the feature-space characterization this equals the (inf,1) norm of
-    the synthesized truncation; the identity is exercised cross-module
-    in the test suite rather than assumed here.
+    The sum is u' K u for the synthesized truncation K = B_d Lambda B_d',
+    so the condition is the (inf,1) norm of K: exact (Gray enumeration)
+    up to the cap, sign-flip ascent beyond. Unlike synthesize_kernel,
+    non-summable laws on overlapping bases are accepted.
     """
     t = model.basis.window
     if not 1 <= d <= t:
         raise DomainError(f"need 1 <= d <= window {t}, got d={d}")
-    lam = model.eigenvalues()
-    bd = np.ascontiguousarray(model.basis.vectors[:d, :])
+    window = truncate(MercerSynthesizedSpec(model), d)
     if d <= cap:
-        _, u = ns_condition_exact(lam, bd)
-        value = _form_value(lam, bd.T @ u)
-        return NormEstimate(value=value, kind=NormKind.EXACT, d=d,
-                            method=NormMethod.GRAY_CODE_ENUMERATION,
-                            witness=u)
-    best_val = -np.inf
-    best_u: np.ndarray | None = None
-    for r in range(restarts):
-        if r == 0:
-            u = np.ones(d)
-        else:
-            rng = np.random.default_rng([seed, r])
-            u = np.where(rng.random(d) < 0.5, -1.0, 1.0)
-        u = ns_condition_ascent(lam, bd, u)
-        val = _form_value(lam, bd.T @ u)
-        if val > best_val:
-            best_val = val
-            best_u = u
-    assert best_u is not None
-    if best_u[0] < 0:
-        best_u = -best_u
-    return NormEstimate(value=best_val, kind=NormKind.LOWER_BOUND, d=d,
-                        method=NormMethod.SIGN_FLIP_ASCENT, witness=best_u)
+        return inf_one_norm_exact(window, cap=cap)
+    return inf_one_norm_heuristic(window, restarts=restarts, seed=seed)
 
 
 def builtin_model_zoo() -> dict[str, MercerModel]:

@@ -186,14 +186,6 @@ def trace_lower_bound(kernel: TruncatedKernel) -> NormEstimate:
                         method=NormMethod.TRACE_SANDWICH)
 
 
-def trace_upper_bound(kernel: TruncatedKernel) -> NormEstimate:
-    """|K|_{inf,1} <= 2^d tr(K) for PSD K: the loose side of the sandwich."""
-    tr = float(np.trace(kernel.entries))
-    return NormEstimate(value=float(2.0 ** kernel.d) * tr,
-                        kind=NormKind.UPPER_BOUND, d=kernel.d,
-                        method=NormMethod.TRACE_SANDWICH)
-
-
 def abs_sum_upper_bound(kernel: TruncatedKernel) -> NormEstimate:
     """|K|_{inf,1} <= sum_ij |K_ij| (triangle inequality, any K)."""
     total = float(np.abs(kernel.entries).sum())

@@ -22,7 +22,7 @@ from stablerkhs.basis import (
 from stablerkhs.errors import DomainError
 from stablerkhs.generators import Geometric, Literal, PowerLaw
 from stablerkhs.kernels import spec_from_config, truncate
-from stablerkhs.opnorm import NormKind, inf_one_norm_exact
+from stablerkhs.opnorm import NormKind, quadratic_form, sign_matrix
 from stablerkhs.spectral import eigendecompose
 from stablerkhs.stability import CONVERGING
 
@@ -306,13 +306,18 @@ def test_ns_condition_rank_one_flat_vector():
 @pytest.mark.parametrize("name", ["laguerre05-power4", "random-power4",
                                   "canonical-geometric"])
 def test_ns_condition_equals_inf_one_norm_exact(name):
+    # Reference in eigen-coordinates, sharing no code with the engines:
+    # max over all sign vectors u of sum_i lambda_i (B_d' u)_i^2.
     model = builtin_model_zoo()[name]
+    lam = model.eigenvalues()
     for d in (6, 10):
         est = ns_condition_estimate(model, d)
         assert est.kind is NormKind.EXACT
+        coeffs = sign_matrix(d) @ model.basis.vectors[:d, :]
+        ref = float(((coeffs * coeffs) @ lam).max())
+        assert est.value == pytest.approx(ref, rel=1e-12)
         k = synthesize_kernel(model, d)
-        ref = inf_one_norm_exact(k)
-        assert est.value == pytest.approx(ref.value, rel=1e-10)
+        assert quadratic_form(k.entries, est.witness) == est.value
 
 
 def test_ns_condition_heuristic_beyond_cap_is_lower_bound():
@@ -322,3 +327,13 @@ def test_ns_condition_heuristic_beyond_cap_is_lower_bound():
     assert heur.kind is NormKind.LOWER_BOUND
     assert heur.value <= exact.value * (1 + 1e-12)
     assert heur.value == pytest.approx(exact.value, rel=1e-9)
+
+
+def test_ns_condition_heuristic_on_window_with_zero_rows():
+    # Rows 4..40 of the window are zero, so flipping their signs gains
+    # exactly nothing; the ascent must see that and stop.
+    m = MercerModel(basis=canonical_basis(3, window=40),
+                    eigenvalue_law=PowerLaw(-2.0))
+    est = ns_condition_estimate(m, 40, cap=8)
+    assert est.kind is NormKind.LOWER_BOUND
+    assert est.value == pytest.approx(float(m.eigenvalues().sum()), rel=1e-12)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from conftest import as_kernel, random_psd
 
-from stablerkhs.basis import ns_condition_ascent
 from stablerkhs.errors import EnumerationCapError, StructuralError
 from stablerkhs.opnorm import (
     NormKind,
@@ -17,7 +16,6 @@ from stablerkhs.opnorm import (
     quadratic_form,
     sign_matrix,
     trace_lower_bound,
-    trace_upper_bound,
 )
 
 
@@ -47,9 +45,13 @@ def test_exact_matches_brute_force_seeded_6x6():
     assert est.value == pytest.approx(oracle, rel=1e-12)
 
 
-@pytest.mark.parametrize("seed", range(25))
+#: seed -> window size for random_psd(seed, size).
+_SWEEP = {**{seed: 2 + seed % 9 for seed in range(25)}, 77: 9}
+
+
+@pytest.mark.parametrize("seed", _SWEEP)
 def test_exact_matches_brute_force_sweep(seed):
-    m = 2 + seed % 9
+    m = _SWEEP[seed]
     k = as_kernel(random_psd(seed, m))
     est = inf_one_norm_exact(k)
     oracle, _ = brute_force_inf_one_norm(k.entries)
@@ -108,13 +110,6 @@ def test_exact_rejects_non_psd():
         inf_one_norm_exact(as_kernel([[1.0, 2.0], [2.0, 1.0]]))
 
 
-def test_pure_python_fallback_full_api():
-    k = as_kernel(random_psd(77, 9))
-    est = inf_one_norm_exact(k)
-    oracle, _ = brute_force_inf_one_norm(k.entries)
-    assert est.value == pytest.approx(oracle, rel=1e-12)
-
-
 def test_sign_matrix_enumerates_all_patterns():
     v = sign_matrix(3)
     assert v.shape == (8, 3)
@@ -167,18 +162,29 @@ def test_norm_scan_auto_crosses_cap_without_exact_claim():
     assert scan.downgraded == ()      # auto mode: the cap is not a downgrade
 
 
+def test_heuristic_returns_on_a_single_nonzero_row():
+    # K = B Lambda B' with one nonzero row of B: the true gain of flipping
+    # that coordinate is 0, and a gain whose two sides round differently
+    # stays positive and flips it forever.
+    rng = np.random.default_rng(0)
+    lam = np.sort(rng.random(12))[::-1]
+    bd = np.vstack([rng.standard_normal(12), np.zeros(12)])
+    k = as_kernel((bd * lam) @ bd.T)
+    est = inf_one_norm_heuristic(k)
+    assert est.value == quadratic_form(k.entries, est.witness)
+
+
 def test_trace_and_abs_sum_bounds_bracket_exact():
     for seed in range(10):
         m = 2 + seed
         k = as_kernel(random_psd(300 + seed, m))
         exact = inf_one_norm_exact(k)
         lo = trace_lower_bound(k)
-        hi_t = trace_upper_bound(k)
         hi_a = abs_sum_upper_bound(k)
-        assert lo.value <= exact.value <= hi_t.value
+        assert lo.value <= exact.value
         assert exact.value <= hi_a.value * (1 + 1e-12)
         assert lo.kind is NormKind.LOWER_BOUND
-        assert hi_t.kind is NormKind.UPPER_BOUND
+        assert hi_a.kind is NormKind.UPPER_BOUND
         assert hi_a.method is NormMethod.ABS_SUM_BOUND
 
 
@@ -234,25 +240,6 @@ def _scalar_heuristic(k, restarts, seed):
     return best_val, best_u
 
 
-def _scalar_ns_ascent(lam, bd, u):
-    d = bd.shape[0]
-    diag = (bd * bd) @ lam
-    w = lam * (bd.T @ u)
-    improved = True
-    while improved:
-        improved = False
-        ku = bd @ w
-        gains = 4.0 * (diag - u * ku)
-        for p in range(d):
-            if gains[p] > 0.0:
-                up = u[p]
-                u[p] = -up
-                w = w - (2.0 * up) * (lam * bd[p, :])
-                improved = True
-                break
-    return u
-
-
 def _assert_heuristic_matches_scalar(matrix, restarts, seed):
     kernel = as_kernel(matrix)
     est = inf_one_norm_heuristic(kernel, restarts=restarts, seed=seed)
@@ -286,31 +273,3 @@ def test_ascent_matches_scalar_scan(seed, m, rank, pad, restarts):
 ], ids=["ones", "alternating", "padded-ones", "zero"])
 def test_ascent_matches_scalar_scan_on_ties_and_zeros(matrix):
     _assert_heuristic_matches_scalar(matrix, restarts=8, seed=3)
-
-
-# d >= 2: with a single nonzero row the true gain of its flip is 0, but
-# it rounds differently on the two sides of the gain and both scans can
-# keep flipping that coordinate forever.
-@given(seed=st.integers(0, 10_000), d=st.integers(2, 40),
-       n=st.integers(1, 12), pad=st.integers(0, 20))
-@settings(max_examples=60, deadline=None)
-def test_ns_condition_ascent_matches_scalar_scan(seed, d, n, pad):
-    rng = np.random.default_rng(seed)
-    lam = np.sort(rng.random(n))[::-1]
-    bd = np.vstack([rng.standard_normal((d, n)), np.zeros((pad, n))])
-    u = np.where(rng.random(d + pad) < 0.5, -1.0, 1.0)
-    assert np.array_equal(ns_condition_ascent(lam, bd, u.copy()),
-                          _scalar_ns_ascent(lam, bd, u.copy()))
-
-
-@pytest.mark.parametrize("lam,bd", [
-    (np.array([1.0]), np.ones((9, 1))),               # rank one, tied gains
-    (np.array([2.0, 0.0]), np.zeros((6, 2))),         # all-zero window
-    (np.zeros(3), np.eye(5, 3)),
-], ids=["ones", "zero-basis", "zero-eigenvalues"])
-def test_ns_condition_ascent_matches_scalar_scan_on_ties_and_zeros(lam, bd):
-    for seed in range(4):
-        rng = np.random.default_rng(seed)
-        u = np.where(rng.random(bd.shape[0]) < 0.5, -1.0, 1.0)
-        assert np.array_equal(ns_condition_ascent(lam, bd, u.copy()),
-                              _scalar_ns_ascent(lam, bd, u.copy()))
