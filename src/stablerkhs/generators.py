@@ -284,18 +284,28 @@ def parse_generator(spec: str) -> SequenceGenerator:
         raise DomainError(f"malformed generator spec {spec!r}, expected 'name:params'")
     name, _, arg = spec.partition(":")
     name = name.strip().lower()
+
+    def number(text: str) -> float:
+        x = float(text)
+        if not math.isfinite(x):
+            raise DomainError(f"non-finite parameter {x} in generator spec "
+                              f"{spec!r}")
+        return x
+
     try:
         if name == "power":
-            return PowerLaw(float(arg))
+            return PowerLaw(number(arg))
         if name == "geometric":
-            return Geometric(float(arg))
+            return Geometric(number(arg))
         if name == "const":
-            return Constant(float(arg))
+            return Constant(number(arg))
         if name == "lit":
-            vals = tuple(float(v) for v in arg.split(",") if v.strip() != "")
+            vals = tuple(number(v) for v in arg.split(",") if v.strip() != "")
             if not vals:
                 raise DomainError("literal generator needs at least one value")
             return Literal(vals)
+    except DomainError:
+        raise
     except ValueError as exc:
         raise DomainError(f"bad numeric parameter in generator spec {spec!r}") from exc
     raise DomainError(f"unknown generator family {name!r} in {spec!r}")

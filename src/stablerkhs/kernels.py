@@ -116,6 +116,11 @@ class StableSpline(KernelSpec):
         return f"stable-spline(alpha={self.alpha:g})"
 
 
+#: Lags beyond this many widths are clipped to it: exp(-28**2) already
+#: rounds to 0.0, and the clip keeps (lag / width)**2 from overflowing.
+_GAUSS_CUTOFF = 28.0
+
+
 @dataclass(frozen=True)
 class Gaussian(KernelSpec):
     """K_{ij} = exp(-((i - j) / width)**2)."""
@@ -128,11 +133,14 @@ class Gaussian(KernelSpec):
             raise DomainError(f"gaussian width must be positive, got {self.width}")
 
     def _entry(self, i: int, j: int) -> float:
-        return float(np.exp(-((i - j) / self.width) ** 2))
+        lag = min(abs(i - j), _GAUSS_CUTOFF * self.width)
+        return float(np.exp(-(lag / self.width) ** 2))
 
     def _block(self, d: int) -> np.ndarray:
         idx = np.arange(1, d + 1, dtype=float)
-        return np.exp(-(np.subtract.outer(idx, idx) / self.width) ** 2)
+        lag = np.minimum(np.abs(np.subtract.outer(idx, idx)),
+                         _GAUSS_CUTOFF * self.width)
+        return np.exp(-(lag / self.width) ** 2)
 
     def diagonal(self, d: int) -> np.ndarray:
         if d < 1:

@@ -17,7 +17,7 @@ summability is sufficient, not necessary, for stability.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -59,26 +59,34 @@ def tail_trace(spec: KernelSpec, n: int, d: int) -> float:
     return float(spec.diagonal(d)[n:].sum())
 
 
+def _nonzero_order(spec: KernelSpec, d: int) -> int:
+    """Order of the leading block of K^(d) that can be nonzero: d capped at
+    a finite support, past which every entry is an exact zero."""
+    n = spec.support
+    return d if n is None else min(d, n)
+
+
 def abs_sum_partial(spec: KernelSpec, d: int) -> float:
-    """sum_{i,j <= d} |K_ij|."""
-    return float(np.abs(truncate(spec, d).entries).sum())
+    """sum_{i,j <= d} |K_ij|, summed on the block inside a finite support."""
+    return float(np.abs(truncate(spec, _nonzero_order(spec, d)).entries).sum())
 
 
 def sq_sum_partial(spec: KernelSpec, d: int) -> float:
-    """sum_{i,j <= d} K_ij^2."""
-    return float((truncate(spec, d).entries ** 2).sum())
+    """sum_{i,j <= d} K_ij^2, summed on the block inside a finite support."""
+    return float((truncate(spec, _nonzero_order(spec, d)).entries ** 2).sum())
 
 
 def window_sums(spec: KernelSpec, grid: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(abs sums, square sums) over the d x d windows of an ascending grid.
 
-    The kernel is materialized once at the largest order; windows are
-    leading blocks of it (entry-exact nesting).
+    The kernel is materialized once at the largest order, capped at a
+    finite support; windows are leading blocks of it (entry-exact
+    nesting), and every order past the support sums the support block.
     """
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("window grid must be strictly ascending")
-    big = truncate(spec, grid[-1]).entries
+    big = truncate(spec, _nonzero_order(spec, grid[-1])).entries
     abs_sums, sq_sums = np.empty(len(grid)), np.empty(len(grid))
     for g, d in enumerate(grid):
         window = np.abs(big[:d, :d])   # |x| * |x| is x**2 bit for bit
@@ -230,25 +238,37 @@ def norm_growth_scan(spec: KernelSpec, grid: Sequence[int],
     recorded per order. When every estimate is exact the sequence must
     be non-decreasing in d (windows are nested); a violation raises,
     since it can only be an implementation defect.
+
+    Past a finite support n the engines run once, on the n-block, and
+    the engine is chosen by that block's order: the zero rows add
+    nothing to u'Ku, so each order d > n reports the n-block's estimate
+    with its witness padded by +1 to length d.
     """
     grid = list(grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigError("norm scan grid must be strictly ascending")
     if method not in ("exact", "heuristic", "auto"):
         raise ConfigError(f"unknown norm scan method {method!r}")
-    big = truncate(spec, grid[-1])
+    big = truncate(spec, _nonzero_order(spec, grid[-1]))
+    by_order: dict[int, NormEstimate] = {}
     estimates: list[NormEstimate] = []
     downgraded: list[int] = []
     for d in grid:
-        window = big if d == big.d else big.leading(d)
-        want_exact = method == "exact" or (method == "auto" and d <= cap)
-        if want_exact and d <= cap:
-            estimates.append(inf_one_norm_exact(window, cap=cap))
-        else:
-            if method == "exact":
-                downgraded.append(d)
-            estimates.append(inf_one_norm_heuristic(window, restarts=restarts,
-                                                    seed=seed))
+        m = _nonzero_order(spec, d)
+        if m not in by_order:
+            window = big if m == big.d else big.leading(m)
+            if method != "heuristic" and m <= cap:
+                by_order[m] = inf_one_norm_exact(window, cap=cap)
+            else:
+                by_order[m] = inf_one_norm_heuristic(window, restarts=restarts,
+                                                     seed=seed)
+        est = by_order[m]
+        if method == "exact" and est.kind is not NormKind.EXACT:
+            downgraded.append(d)
+        if d > m:
+            est = replace(est, d=d, witness=np.concatenate(
+                [est.witness, np.ones(d - m)]))
+        estimates.append(est)
     if all(e.kind is NormKind.EXACT for e in estimates):
         vals = [e.value for e in estimates]
         for a, b in zip(vals, vals[1:]):
@@ -489,11 +509,18 @@ def classify(spec: KernelSpec, budget: Budget | None = None) -> StabilityReport:
         # A finitely supported kernel is probed past its support: the
         # sums plateau there and the probe needs two flat increments on
         # a doubling grid, i.e. points up to 8x the support in the worst
-        # alignment. A hard cost envelope still applies; beyond it the
-        # probes may stay Undecided (honest under budget).
+        # alignment. Orders past the support cost no more than the
+        # support block: the windowed probes work on that block and
+        # repeat its values. A hard cost envelope still applies; beyond
+        # it the probes may stay Undecided (honest under budget).
         if support is None:
             return default
         return min(max(default, 8 * support), envelope)
+
+    def support_note(grid: list[int]) -> dict[str, Any]:
+        # Names the support behind a plateau of a windowed series.
+        past = support is not None and support < grid[-1]
+        return {"support": support} if past else {}
 
     trace_stop = stop_for(budget.trace_max, 65536)
     window_stop = stop_for(budget.window_max, 2048)
@@ -533,11 +560,11 @@ def classify(spec: KernelSpec, budget: Budget | None = None) -> StabilityReport:
         tests.append(TestRecord(
             name="abs_sum", kind="partial_sum", decision=abs_probe.decision,
             detail=abs_probe.reason, grid=tuple(grid),
-            values=tuple(float(x) for x in abs_sums)))
+            values=tuple(float(x) for x in abs_sums), extra=support_note(grid)))
         tests.append(TestRecord(
             name="sq_sum", kind="partial_sum", decision=sq_probe.decision,
             detail=sq_probe.reason, grid=tuple(grid),
-            values=tuple(float(x) for x in sq_sums)))
+            values=tuple(float(x) for x in sq_sums), extra=support_note(grid)))
         if abs_probe.decision == CONVERGING:
             evidence_flags["abs_summable"] = YES
         elif abs_probe.decision == DIVERGING:
@@ -561,7 +588,8 @@ def classify(spec: KernelSpec, budget: Budget | None = None) -> StabilityReport:
             detail=probe.reason + " (sign-flip ascent lower bounds)",
             grid=tuple(grid), values=tuple(float(x) for x in vals),
             extra={"witnesses": witnesses,
-                   "method": NormMethod.SIGN_FLIP_ASCENT.value}))
+                   "method": NormMethod.SIGN_FLIP_ASCENT.value,
+                   **support_note(grid)}))
         if probe.decision == CONVERGING:
             evidence_flags["stable"] = YES
         elif probe.decision == DIVERGING:

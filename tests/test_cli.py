@@ -92,6 +92,28 @@ def test_classify_missing_generator_is_config_error(capsys):
     assert "v" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--kernel", "diagonal", "--g", "power:nan"],
+    ["classify", "--kernel", "diagonal", "--g", "geometric:inf"],
+    ["classify", "--kernel", "diagonal", "--g", "lit:1,nan"],
+    ["synth", "--basis", "canonical", "--count", "20", "--window", "40",
+     "--eigenvalues", "power:nan"],
+])
+def test_non_finite_generator_parameter_is_config_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+
+
+def test_classify_gaussian_tiny_width(capsys):
+    code, out, err = run(capsys, "classify", "--kernel", "gaussian",
+                         "--width", "1e-300")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "AnalyticallyUnstable"
+    assert "Warning" not in err
+
+
 def test_classify_non_psd_kernel_is_numerical_failure(capsys):
     code, _, err = run(capsys, "classify", "--kernel",
                        "translation-invariant", "--h", "lit:1,-1,-1")

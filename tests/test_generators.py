@@ -112,3 +112,7 @@ def test_parse_rejects_malformed_specs():
     for bad in ("power", "power:abc", "frobnicate:1", "lit:", ""):
         with pytest.raises(DomainError):
             parse_generator(bad)
+    for bad in ("power:nan", "geometric:inf", "const:-inf", "lit:1,nan",
+                "lit:-inf,2"):
+        with pytest.raises(DomainError, match="non-finite"):
+            parse_generator(bad)

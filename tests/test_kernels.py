@@ -82,6 +82,17 @@ def test_truncate_gaussian_3x3():
         rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("width", [1e-300, 1e-160])
+def test_gaussian_tiny_width_entries_vanish_off_the_diagonal(width):
+    # (lag / width)**2 would overflow; the off-diagonal entries are 0.0.
+    spec = Gaussian(width)
+    k = truncate(spec, 6).entries
+    np.testing.assert_array_equal(k, np.eye(6))
+    for i in range(1, 7):
+        for j in range(1, 7):
+            assert spec.entry(i, j) == k[i - 1, j - 1]
+
+
 def test_truncate_rejects_zero_order():
     with pytest.raises(DomainError):
         truncate(Gaussian(), 0)

@@ -5,7 +5,12 @@ from hypothesis import strategies as st
 
 from conftest import as_kernel, random_psd
 
-from stablerkhs.basis import MercerModel, MercerSynthesizedSpec, laguerre_basis
+from stablerkhs.basis import (
+    MercerModel,
+    MercerSynthesizedSpec,
+    laguerre_basis,
+    random_orthogonal_basis,
+)
 from stablerkhs.errors import ConfigError, NumericalError, StructuralError
 from stablerkhs.generators import Constant, Geometric, Literal, PowerLaw
 from stablerkhs.kernels import (
@@ -14,8 +19,16 @@ from stablerkhs.kernels import (
     RankOne,
     StableSpline,
     TranslationInvariant,
+    spec_from_config,
+    truncate,
 )
-from stablerkhs.opnorm import NormKind, inf_one_norm_exact
+from stablerkhs.opnorm import (
+    NormKind,
+    brute_force_inf_one_norm,
+    inf_one_norm_exact,
+    inf_one_norm_heuristic,
+    quadratic_form,
+)
 from stablerkhs.stability import (
     CONVERGING,
     DIVERGING,
@@ -99,6 +112,96 @@ def test_window_sums_match_individual_calls():
         for g, d in enumerate(grid):
             assert abs_sums[g] == abs_sum_partial(spec, d)
             assert sq_sums[g] == sq_sum_partial(spec, d)
+
+
+#: Finitely supported kernels, small enough for exact enumeration and the
+#: brute-force oracle at and just past the support.
+_SUPPORTED = {
+    "mercer-laguerre": MercerSynthesizedSpec(MercerModel(
+        laguerre_basis(0.1, 4, 13), PowerLaw(-4.0))),
+    "mercer-random": MercerSynthesizedSpec(MercerModel(
+        random_orthogonal_basis(11, 4, 10), PowerLaw(-3.0))),
+    "rank-one-negative": spec_from_config(
+        {"family": "rank-one", "v": "lit:1,-2,0,-0.5,3"}),
+    "diagonal-literal": spec_from_config(
+        {"family": "diagonal", "g": "lit:3,0,1,0.5"}),
+}
+
+
+def _around_support(spec):
+    n = spec.support
+    return [n - 1, n, n + 1, 2 * n, 8 * n]
+
+
+def _assert_rel(value, oracle, rel):
+    assert abs(value - oracle) <= rel * abs(oracle), (value, oracle)
+
+
+@pytest.mark.parametrize("name", sorted(_SUPPORTED))
+def test_windowed_sums_past_support_match_dense_window(name):
+    # Oracle: the zero-padded dense window, summed whole.
+    spec = _SUPPORTED[name]
+    grid = _around_support(spec)
+    abs_sums, sq_sums = window_sums(spec, grid)
+    for g, d in enumerate(grid):
+        dense = truncate(spec, d).entries
+        abs_oracle = float(np.abs(dense).sum())
+        sq_oracle = float((dense ** 2).sum())
+        for value in (abs_sums[g], abs_sum_partial(spec, d)):
+            _assert_rel(value, abs_oracle, 1e-15)
+        for value in (sq_sums[g], sq_sum_partial(spec, d)):
+            _assert_rel(value, sq_oracle, 1e-15)
+
+
+@pytest.mark.parametrize("name", sorted(_SUPPORTED))
+def test_norm_scan_heuristic_past_support_matches_dense_window(name):
+    spec = _SUPPORTED[name]
+    n = spec.support
+    grid = _around_support(spec)
+    scan = norm_growth_scan(spec, grid, method="heuristic", restarts=6, seed=3)
+    assert scan.grid() == tuple(grid)
+    assert scan.downgraded == ()
+    for d, est in zip(grid, scan.estimates):
+        dense = truncate(spec, d)
+        assert est.kind is NormKind.LOWER_BOUND
+        assert est.witness.shape == (d,)
+        assert np.all(est.witness[n:] == 1.0)
+        _assert_rel(quadratic_form(dense.entries, est.witness), est.value,
+                    1e-12)
+        # The ascent on the padded window never flips a zero row, so it
+        # finds the same signs on the support.
+        padded = inf_one_norm_heuristic(dense, restarts=6, seed=3)
+        _assert_rel(est.value, padded.value, 1e-12)
+        np.testing.assert_array_equal(est.witness[:n], padded.witness[:n])
+
+
+@pytest.mark.parametrize("name", sorted(_SUPPORTED))
+def test_norm_scan_exact_past_support_matches_brute_force(name):
+    spec = _SUPPORTED[name]
+    n = spec.support
+    grid = _around_support(spec)
+    scan = norm_growth_scan(spec, grid, method="exact")
+    assert scan.downgraded == ()
+    for d, est in zip(grid, scan.estimates):
+        dense = truncate(spec, d).entries
+        assert est.kind is NormKind.EXACT and est.d == d
+        assert np.all(est.witness[n:] == 1.0)
+        _assert_rel(quadratic_form(dense, est.witness), est.value, 1e-12)
+        if d <= 18:
+            _assert_rel(est.value, brute_force_inf_one_norm(dense)[0], 1e-12)
+
+
+def test_norm_scan_picks_the_engine_by_the_support_block():
+    # Support 5: under "auto" every order is enumerated exactly, since
+    # only the 5-block can be nonzero; a cap below the support downgrades
+    # every order whose block exceeds it.
+    spec = _SUPPORTED["rank-one-negative"]
+    auto = norm_growth_scan(spec, [4, 8, 16, 32, 64], method="auto", cap=8)
+    assert all(e.kind is NormKind.EXACT for e in auto.estimates)
+    capped = norm_growth_scan(spec, [4, 5, 6, 10], method="exact", cap=4)
+    assert capped.downgraded == (5, 6, 10)
+    assert [e.kind for e in capped.estimates] == [NormKind.EXACT] + [
+        NormKind.LOWER_BOUND] * 3
 
 
 # --------------------------------------------------------------------------
@@ -350,6 +453,22 @@ def test_classify_synthesized_finite_rank_kernels_are_stable():
         rep = classify(spec_from_config(cfg))
         assert rep.verdict == "EvidenceStable", cfg
         assert rep.class_flags["stable"] == "yes"
+
+
+def test_classify_records_the_support_behind_a_plateau():
+    spec = spec_from_config({"family": "mercer", "basis": "random",
+                             "count": 8, "window": 24,
+                             "eigenvalues": "power:-3"})
+    rep = classify(spec)
+    for name in ("abs_sum", "sq_sum", "norm_growth"):
+        assert rep.find(name).extra["support"] == 24
+    # Witnesses past the support are padded with +1.
+    record = rep.find("norm_growth")
+    for d, signs in zip(record.grid, record.extra["witnesses"]):
+        assert signs[24:] == [1] * (d - 24)
+    plain = classify(StableSpline(0.9))
+    for name in ("abs_sum", "sq_sum", "norm_growth"):
+        assert "support" not in plain.find(name).extra
 
 
 def test_classify_long_literal_diagonal_uses_support():
