@@ -33,10 +33,9 @@ from .config import BASIS_SCHEMA, KERNEL_SCHEMA, coerce_keys, schema_entry
 from .errors import ConfigError, DomainError, NumericalError
 from .generators import Geometric, Literal, PowerLaw, SequenceGenerator
 from .kernels import KernelSpec, TruncatedKernel, truncate
-from .opnorm import (DEFAULT_RESTARTS, ENUMERATION_CAP, NormEstimate,
-                     inf_one_norm_exact, inf_one_norm_heuristic)
-from .stability import (CONVERGING, DIVERGING, ProbeResult, divergence_probe,
-                        window_sums)
+from .opnorm import DEFAULT_RESTARTS, ENUMERATION_CAP, NormEstimate
+from .stability import (CONVERGING, DIVERGING, PROBE_MIN_POINTS, ProbeResult,
+                        divergence_probe, norm_growth_scan, window_sums)
 
 #: Elementwise Gram tolerance for materialized bases.
 EPS_ORTH = 1e-8
@@ -123,8 +122,9 @@ def laguerre_basis(pole: float, count: int, window: int) -> OrthoBasis:
     a = float(pole)
     if not abs(a) < 1.0:
         raise DomainError(f"Laguerre pole must satisfy |a| < 1, got {a}")
-    if count < 1:
-        raise DomainError(f"basis count must be >= 1, got {count}")
+    if count < 1 or window < count:
+        raise DomainError(f"need window >= count >= 1, got count={count}, "
+                          f"window={window}")
     need = minimal_laguerre_window(a)
     if window < need:
         raise DomainError(f"window {window} too small for pole {a:g}: "
@@ -358,16 +358,20 @@ def synthesize_kernel(model: MercerModel, d: int) -> TruncatedKernel:
 # --------------------------------------------------------------------------
 # Stability tests in the Mercer feature space
 
-def _count_grid(n: int, min_points: int = 3) -> list[int]:
+def _doubling_grid(start: int, stop: int) -> list[int]:
+    """start, 2 start, 4 start, ... below stop, then stop itself."""
     grid = []
-    m = 2
-    while m < n:
-        grid.append(m)
-        m *= 2
-    grid.append(n)
-    if len(grid) < min_points:
+    while start < stop:
+        grid.append(start)
+        start *= 2
+    return grid + [stop]
+
+
+def _count_grid(n: int) -> list[int]:
+    grid = _doubling_grid(2, n)
+    if len(grid) < PROBE_MIN_POINTS:
         raise ConfigError(f"basis count {n} too small for a divergence probe "
-                          f"({len(grid)} grid points < {min_points})")
+                          f"({len(grid)} grid points < {PROBE_MIN_POINTS})")
     return grid
 
 
@@ -422,14 +426,8 @@ def sufficient_stability_test(model: MercerModel,
         # Probe past the support: the materialized kernel is exactly
         # zero beyond its window, and the probe needs to see at least
         # two flat increments to register the plateau.
-        t = 4 * model.basis.window
         if cross_check_grid is None:
-            g, acc = [], 4
-            while acc < t:
-                g.append(acc)
-                acc *= 2
-            g.append(t)
-            cross_check_grid = g
+            cross_check_grid = _doubling_grid(4, 4 * model.basis.window)
         spec = MercerSynthesizedSpec(model)
         abs_sums, _ = window_sums(spec, list(cross_check_grid))
         cross = divergence_probe(list(cross_check_grid), abs_sums)
@@ -495,17 +493,16 @@ def ns_condition_estimate(model: MercerModel, d: int,
     """sup over sign vectors u of sum_i lambda_i <rho_i, u>^2 on a d-window.
 
     The sum is u' K u for the synthesized truncation K = B_d Lambda B_d',
-    so the condition is the (inf,1) norm of K: exact (Gray enumeration)
-    up to the cap, sign-flip ascent beyond. Unlike synthesize_kernel,
-    non-summable laws on overlapping bases are accepted.
+    so the condition is the (inf,1) norm of K, estimated by
+    norm_growth_scan's "auto" rule: exact (Gray enumeration) up to the
+    cap, sign-flip ascent beyond. Unlike synthesize_kernel, non-summable
+    laws on overlapping bases are accepted.
     """
     t = model.basis.window
     if not 1 <= d <= t:
         raise DomainError(f"need 1 <= d <= window {t}, got d={d}")
-    window = truncate(MercerSynthesizedSpec(model), d)
-    if d <= cap:
-        return inf_one_norm_exact(window, cap=cap)
-    return inf_one_norm_heuristic(window, restarts=restarts, seed=seed)
+    return norm_growth_scan(MercerSynthesizedSpec(model), [d], method="auto",
+                            cap=cap, restarts=restarts, seed=seed).estimates[0]
 
 
 def builtin_model_zoo() -> dict[str, MercerModel]:

@@ -57,11 +57,6 @@ class KernelSpec:
         return np.array([self._entry(i, i) for i in range(1, d + 1)], dtype=float)
 
     @property
-    def max_order(self) -> int | None:
-        """Largest usable truncation order, None when unlimited."""
-        return None
-
-    @property
     def support(self) -> int | None:
         """Smallest n with K_ij = 0 whenever i > n or j > n, if finite.
 
@@ -270,10 +265,6 @@ def truncate(spec: KernelSpec, d: int) -> TruncatedKernel:
     """Leading d x d window of spec, exactly symmetric by construction."""
     if d < 1:
         raise DomainError(f"truncation order must be >= 1, got {d}")
-    cap = spec.max_order
-    if cap is not None and d > cap:
-        raise DomainError(f"{spec.label()} is materialized on a window of "
-                          f"{cap}; cannot truncate at d={d}")
     n = spec.support
     if n is not None and n < d:
         # Entries past the support are exact zeros: mirror the support

@@ -11,6 +11,9 @@ so computing it is a binary quadratic maximization. Two engines:
 
       q' = q - 4 u_p s_p + 4 K_pp,      s' = s - 2 u_p K[:, p].
 
+  Both engines read the column K[:, p] as the row K[p], which it equals
+  in a symmetric window, so no transposed copy is made.
+
   The reported value is re-evaluated non-incrementally at the winning
   sign vector, so accumulated drift cannot leak into the result.
 
@@ -83,7 +86,6 @@ def _gray_scan(k: np.ndarray) -> tuple[float, np.ndarray]:
     best = q
     best_u = u.copy()
     diag = np.ascontiguousarray(np.diag(k))
-    cols = np.ascontiguousarray(k.T)  # row p of k.T is the column K[:, p]
     steps = (1 << (d - 1)) - 1
     for t in range(1, steps + 1):
         # Coordinate 1 stays +1; Gray flip index over coordinates 2..d.
@@ -91,7 +93,7 @@ def _gray_scan(k: np.ndarray) -> tuple[float, np.ndarray]:
         up = u[p]
         q = q + 4.0 * (diag[p] - up * s[p])
         u[p] = -up
-        s -= (2.0 * up) * cols[p]
+        s -= (2.0 * up) * k[p]
         if q > best:
             best = q
             best_u = u.copy()
@@ -127,11 +129,11 @@ def inf_one_norm_exact(kernel: TruncatedKernel,
                         witness=best_u.copy())
 
 
-def _ascent(k: np.ndarray, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _ascent(k: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Greedy single-flip ascent on u' K u from the given start.
 
     The first strictly improving flip in ascending index order is taken
-    (deterministic tie-breaking); row p of cols is the column K[:, p].
+    (deterministic tie-breaking).
     """
     diag = np.diag(k)
     s = k @ u
@@ -142,7 +144,7 @@ def _ascent(k: np.ndarray, cols: np.ndarray, u: np.ndarray) -> np.ndarray:
             return u
         up = u[p]
         u[p] = -up
-        s -= (2.0 * up) * cols[p]
+        s -= (2.0 * up) * k[p]
 
 
 def inf_one_norm_heuristic(kernel: TruncatedKernel,
@@ -158,7 +160,6 @@ def inf_one_norm_heuristic(kernel: TruncatedKernel,
         raise DomainError(f"need at least one restart, got {restarts}")
     k = kernel.entries
     d = kernel.d
-    cols = np.ascontiguousarray(k.T)
     best_val = -np.inf
     best_u: np.ndarray | None = None
     for r in range(restarts):
@@ -167,7 +168,7 @@ def inf_one_norm_heuristic(kernel: TruncatedKernel,
         else:
             rng = np.random.default_rng([seed, r])
             u = np.where(rng.random(d) < 0.5, -1.0, 1.0)
-        u = _ascent(k, cols, u)
+        u = _ascent(k, u)
         val = quadratic_form(k, u)
         if val > best_val:
             best_val = val

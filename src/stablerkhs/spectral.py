@@ -186,10 +186,6 @@ def convergence_scan(spec: KernelSpec, grid: Sequence[int],
     if track[-1] > grid[0]:
         raise ConfigError(f"tracked index {track[-1]} exceeds the smallest "
                           f"grid order {grid[0]}")
-    cap = spec.max_order
-    if cap is not None and grid[-1] > cap:
-        raise ConfigError(f"grid order {grid[-1]} exceeds the kernel window {cap}")
-
     big = truncate(spec, grid[-1])
 
     def spectrum_at(d: int) -> Spectrum:
@@ -214,18 +210,11 @@ def convergence_scan(spec: KernelSpec, grid: Sequence[int],
         ])
         for i in track
     }
-    unreliable: set[int] = set()
-    for s in spectra:
-        gap_tol = eps_gap * float(s.eigenvalues[0]) if s.d else 0.0
-        lam = s.eigenvalues
-        for i in track:
-            below = abs(lam[i - 1] - lam[i]) if i < s.d else np.inf
-            above = abs(lam[i - 2] - lam[i - 1]) if i >= 2 else np.inf
-            if min(below, above) < gap_tol:
-                unreliable.add(i)
+    # A tracked index is unreliable wherever a multiplicity warning names it.
+    warned = {i for s in spectra for pair in s.multiplicity_warnings for i in pair}
     return ConvergenceTrace(grid=tuple(grid), tracked=tuple(track),
                             eigenvalue_paths=paths, discrepancies=discrepancies,
-                            unreliable=frozenset(unreliable),
+                            unreliable=frozenset(warned.intersection(track)),
                             min_gaps={s.d: s.min_gap() for s in spectra},
                             clamped={s.d: s.clamped for s in spectra},
                             final=spectra[-1])

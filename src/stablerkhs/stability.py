@@ -76,6 +76,13 @@ def sq_sum_partial(spec: KernelSpec, d: int) -> float:
     return float((truncate(spec, _nonzero_order(spec, d)).entries ** 2).sum())
 
 
+def _ascending(grid: Sequence[int], what: str) -> list[int]:
+    grid = list(grid)
+    if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError(f"{what} grid must be non-empty and strictly ascending")
+    return grid
+
+
 def window_sums(spec: KernelSpec, grid: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """(abs sums, square sums) over the d x d windows of an ascending grid.
 
@@ -83,9 +90,7 @@ def window_sums(spec: KernelSpec, grid: Sequence[int]) -> tuple[np.ndarray, np.n
     finite support; windows are leading blocks of it (entry-exact
     nesting), and every order past the support sums the support block.
     """
-    grid = list(grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("window grid must be strictly ascending")
+    grid = _ascending(grid, "window")
     big = truncate(spec, _nonzero_order(spec, grid[-1])).entries
     abs_sums, sq_sums = np.empty(len(grid)), np.empty(len(grid))
     for g, d in enumerate(grid):
@@ -109,6 +114,9 @@ PROBE_RTOL = 1e-8
 #: Increments shrinking geometrically at least this fast also count as
 #: convergent (the extrapolated tail is finite and small).
 PROBE_RATIO_CAP = 0.75
+
+#: Fewest grid points the probe accepts.
+PROBE_MIN_POINTS = 3
 
 
 @dataclass(frozen=True)
@@ -157,9 +165,9 @@ def divergence_probe(grid: Sequence[int], sums: Sequence[float],
     """
     ds = np.asarray(list(grid), dtype=float)
     s = np.asarray(list(sums), dtype=float)
-    if len(ds) < 3:
-        raise ConfigError(f"divergence probe needs at least 3 grid points, "
-                          f"got {len(ds)}")
+    if len(ds) < PROBE_MIN_POINTS:
+        raise ConfigError(f"divergence probe needs at least {PROBE_MIN_POINTS} "
+                          f"grid points, got {len(ds)}")
     if len(ds) != len(s):
         raise ConfigError("grid and sums must have the same length")
     if np.any(np.diff(ds) <= 0):
@@ -244,9 +252,7 @@ def norm_growth_scan(spec: KernelSpec, grid: Sequence[int],
     nothing to u'Ku, so each order d > n reports the n-block's estimate
     with its witness padded by +1 to length d.
     """
-    grid = list(grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigError("norm scan grid must be strictly ascending")
+    grid = _ascending(grid, "norm scan")
     if method not in ("exact", "heuristic", "auto"):
         raise ConfigError(f"unknown norm scan method {method!r}")
     big = truncate(spec, _nonzero_order(spec, grid[-1]))
@@ -401,10 +407,12 @@ class Budget:
     trace_max: int = 4096           # 1-D sums, O(d)
     window_max: int = 512           # dense d x d windows, O(d^2)
     norm_max: int = 256             # heuristic norm scans
-    min_points: int = 3
     restarts: int = 8
     seed: int = 0
-    psd_check_order: int = 64
+
+
+#: Order of the window classify checks for positive semidefiniteness.
+PSD_CHECK_ORDER = 64
 
 
 def _geometric_grid(start: int, stop: int) -> list[int]:
@@ -414,12 +422,6 @@ def _geometric_grid(start: int, stop: int) -> list[int]:
         grid.append(d)
         d *= 2
     return grid
-
-
-def _clip_grid(grid: list[int], cap: int | None) -> list[int]:
-    if cap is None:
-        return grid
-    return [d for d in grid if d <= cap]
 
 
 def _analytic_pass(spec: KernelSpec) -> tuple[dict[str, str], list[TestRecord]]:
@@ -502,7 +504,6 @@ def classify(spec: KernelSpec, budget: Budget | None = None) -> StabilityReport:
     of absolute summability alone never produces an instability verdict.
     """
     budget = budget or Budget()
-    cap = spec.max_order
     support = spec.support
 
     def stop_for(default: int, envelope: int) -> int:
@@ -522,78 +523,53 @@ def classify(spec: KernelSpec, budget: Budget | None = None) -> StabilityReport:
         past = support is not None and support < grid[-1]
         return {"support": support} if past else {}
 
-    trace_stop = stop_for(budget.trace_max, 65536)
-    window_stop = stop_for(budget.window_max, 2048)
-    norm_stop = stop_for(budget.norm_max, 2048)
-
-    psd_order = min(budget.psd_check_order, cap) if cap else budget.psd_check_order
-    check = validate_psd(truncate(spec, psd_order))
+    check = validate_psd(truncate(spec, PSD_CHECK_ORDER))
     if not check.ok:
         raise StructuralError(
             f"{spec.label()} is not positive semidefinite on the "
-            f"{psd_order}-window (lambda_min = {check.lambda_min:.3e}); "
+            f"{PSD_CHECK_ORDER}-window (lambda_min = {check.lambda_min:.3e}); "
             f"not a kernel")
 
     analytic_flags, tests = _analytic_pass(spec)
     analytic_flags = resolve_flags(**analytic_flags)
     evidence_flags: dict[str, str] = {}
 
-    # Trace probe.
-    grid = _clip_grid(_geometric_grid(16, trace_stop), cap)
-    if len(grid) >= budget.min_points:
-        sums = [partial_trace(spec, d) for d in grid]
-        probe = divergence_probe(grid, sums)
+    def channel(name: str, kind: str, flag: str, grid: list[int],
+                values: Sequence[float], suffix: str = "",
+                extra: dict[str, Any] | None = None) -> None:
+        # Probe one series, record it, and set its class flag on a decision.
+        probe = divergence_probe(grid, values)
         tests.append(TestRecord(
-            name="partial_trace", kind="partial_sum", decision=probe.decision,
-            detail=probe.reason, grid=tuple(grid), values=tuple(sums)))
-        if probe.decision == CONVERGING:
-            evidence_flags["finite_trace"] = YES
-        elif probe.decision == DIVERGING:
-            evidence_flags["finite_trace"] = NO
+            name=name, kind=kind, decision=probe.decision,
+            detail=probe.reason + suffix, grid=tuple(grid),
+            values=tuple(float(x) for x in values), extra=extra or {}))
+        value = {CONVERGING: YES, DIVERGING: NO}.get(probe.decision)
+        if value is not None:
+            evidence_flags[flag] = value
 
-    # Absolute and square window sums.
-    grid = _clip_grid(_geometric_grid(16, window_stop), cap)
-    if len(grid) >= budget.min_points:
+    grid = _geometric_grid(16, stop_for(budget.trace_max, 65536))
+    if len(grid) >= PROBE_MIN_POINTS:
+        channel("partial_trace", "partial_sum", "finite_trace", grid,
+                [partial_trace(spec, d) for d in grid])
+
+    # abs_summable=no says nothing about stability: it is sufficient only.
+    grid = _geometric_grid(16, stop_for(budget.window_max, 2048))
+    if len(grid) >= PROBE_MIN_POINTS:
         abs_sums, sq_sums = window_sums(spec, grid)
-        abs_probe = divergence_probe(grid, abs_sums)
-        sq_probe = divergence_probe(grid, sq_sums)
-        tests.append(TestRecord(
-            name="abs_sum", kind="partial_sum", decision=abs_probe.decision,
-            detail=abs_probe.reason, grid=tuple(grid),
-            values=tuple(float(x) for x in abs_sums), extra=support_note(grid)))
-        tests.append(TestRecord(
-            name="sq_sum", kind="partial_sum", decision=sq_probe.decision,
-            detail=sq_probe.reason, grid=tuple(grid),
-            values=tuple(float(x) for x in sq_sums), extra=support_note(grid)))
-        if abs_probe.decision == CONVERGING:
-            evidence_flags["abs_summable"] = YES
-        elif abs_probe.decision == DIVERGING:
-            # Divergent absolute sums say nothing about stability.
-            evidence_flags["abs_summable"] = NO
-        if sq_probe.decision == CONVERGING:
-            evidence_flags["sq_summable"] = YES
-        elif sq_probe.decision == DIVERGING:
-            evidence_flags["sq_summable"] = NO
+        channel("abs_sum", "partial_sum", "abs_summable", grid, abs_sums,
+                extra=support_note(grid))
+        channel("sq_sum", "partial_sum", "sq_summable", grid, sq_sums,
+                extra=support_note(grid))
 
-    # Operator norm growth.
-    grid = _clip_grid(_geometric_grid(8, norm_stop), cap)
-    if len(grid) >= budget.min_points:
+    grid = _geometric_grid(8, stop_for(budget.norm_max, 2048))
+    if len(grid) >= PROBE_MIN_POINTS:
         scan = norm_growth_scan(spec, grid, method="heuristic",
                                 restarts=budget.restarts, seed=budget.seed)
-        vals = scan.values()
-        probe = divergence_probe(grid, vals)
-        witnesses = [e.witness_signs() for e in scan.estimates]
-        tests.append(TestRecord(
-            name="norm_growth", kind="norm_growth", decision=probe.decision,
-            detail=probe.reason + " (sign-flip ascent lower bounds)",
-            grid=tuple(grid), values=tuple(float(x) for x in vals),
-            extra={"witnesses": witnesses,
-                   "method": NormMethod.SIGN_FLIP_ASCENT.value,
-                   **support_note(grid)}))
-        if probe.decision == CONVERGING:
-            evidence_flags["stable"] = YES
-        elif probe.decision == DIVERGING:
-            evidence_flags["stable"] = NO
+        channel("norm_growth", "norm_growth", "stable", grid, scan.values(),
+                suffix=" (sign-flip ascent lower bounds)",
+                extra={"witnesses": [e.witness_signs() for e in scan.estimates],
+                       "method": NormMethod.SIGN_FLIP_ASCENT.value,
+                       **support_note(grid)})
 
     try:
         evidence_flags = resolve_flags(**evidence_flags)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import shlex
 import tempfile
 
 import numpy as np
@@ -377,6 +379,15 @@ def test_synth_certified_cases(capsys):
     assert json.loads(out)["certification"]["verdict"] == "NotCertified"
 
 
+def test_synth_laguerre_count_past_window_is_config_error(capsys):
+    code, out, err = run(capsys, "synth", "--basis", "laguerre", "--pole",
+                         "0.5", "--count", "60", "--window", "50",
+                         "--eigenvalues", "power:-2")
+    assert code == 2
+    assert out == ""
+    assert "window >= count" in err
+
+
 def test_synth_bound_flag_adds_reduction(capsys):
     code, out, _ = run(capsys, "synth", "--basis", "canonical", "--count",
                        "128", "--window", "128", "--eigenvalues", "power:-1",
@@ -607,3 +618,27 @@ def test_outputs_stay_inside_output_dir(tmp_path, capsys):
     assert code == 0
     after = set(os.listdir(tmp_path))
     assert after - before == {"only"}
+
+
+# --------------------------------------------------------------------------
+# README drift
+
+def _readme_commands():
+    """argv lists of the commands in README's "Command line" block."""
+    text = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines
+            if line.startswith("stablerkhs ")]
+
+
+def test_readme_command_line_block_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 6
+    for argv in commands:
+        if "--output-dir" in argv:
+            at = argv.index("--output-dir")
+            del argv[at:at + 2]
+        code, _, err = run(capsys, *argv, "--output-dir", str(tmp_path / "out"))
+        assert code == 0, (argv, err)

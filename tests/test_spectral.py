@@ -167,9 +167,13 @@ def test_convergence_scan_final_is_the_largest_window_spectrum(threads):
 
 def test_convergence_scan_flags_degenerate_indices():
     # identity-like diagonal kernel: every tracked index is near-degenerate
-    trace = convergence_scan(Diagonal(Literal((2.0, 2.0, 2.0, 1.0))),
-                             [4, 8], [1, 2])
-    assert {1, 2} <= set(trace.unreliable)
+    spec = Diagonal(Literal((2.0, 2.0, 2.0, 1.0)))
+    trace = convergence_scan(spec, [4, 8], [1, 2])
+    assert trace.unreliable == frozenset({1, 2})
+    # Indices 1-3 share the eigenvalue 2; 5 and 6 sit among the zeros
+    # past the support. Index 4 (the simple eigenvalue 1) stays reliable.
+    trace = convergence_scan(spec, [8, 16], range(1, 7))
+    assert trace.unreliable == frozenset({1, 2, 3, 5, 6})
 
 
 def test_convergence_scan_validates_inputs():

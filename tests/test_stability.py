@@ -295,6 +295,13 @@ def test_norm_scan_rejects_unsorted_grid():
         norm_growth_scan(Gaussian(), [8, 4], method="exact")
 
 
+def test_scans_reject_an_empty_grid():
+    with pytest.raises(ConfigError, match="non-empty"):
+        window_sums(StableSpline(0.9), [])
+    with pytest.raises(ConfigError, match="non-empty"):
+        norm_growth_scan(StableSpline(0.9), [])
+
+
 # --------------------------------------------------------------------------
 # Flags and report assembly
 
