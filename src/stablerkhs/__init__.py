@@ -41,7 +41,6 @@ from .kernels import (
     StableSpline,
     TranslationInvariant,
     TruncatedKernel,
-    eval_entry,
     spec_from_config,
     truncate,
     validate_psd,
@@ -54,7 +53,6 @@ from .opnorm import (
     inf_one_norm_heuristic,
 )
 from .stability import (
-    Budget,
     StabilityReport,
     classify,
     divergence_probe,

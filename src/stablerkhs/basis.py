@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -96,13 +96,13 @@ def canonical_basis(count: int, window: int | None = None) -> OrthoBasis:
                       vectors=np.eye(window, count), params={})
 
 
-def minimal_laguerre_window(pole: float, tail: float = LAGUERRE_TAIL) -> int:
-    """Smallest T with |pole|**T < tail."""
+def minimal_laguerre_window(pole: float) -> int:
+    """Smallest T with |pole|**T < LAGUERRE_TAIL."""
     a = abs(pole)
     if a == 0.0:
         return 1
-    t = int(np.ceil(np.log(tail) / np.log(a)))
-    while a ** t >= tail:
+    t = int(np.ceil(np.log(LAGUERRE_TAIL) / np.log(a)))
+    while a ** t >= LAGUERRE_TAIL:
         t += 1
     return t
 
@@ -170,16 +170,14 @@ class L1Profile:
     slope: float              # least-squares slope of |rho_i|_1 against i
 
 
-def l1_profile(basis: OrthoBasis, count: int | None = None) -> L1Profile:
+def l1_profile(basis: OrthoBasis) -> L1Profile:
     """Window l1 norms |rho_i|_1 with a linear-growth coefficient.
 
     Takenaka-Malmquist-style bases (Laguerre included) obey an
     |rho_i|_1 <= A i bound; max_ratio is the empirical A on this window.
     """
-    n = basis.count if count is None else count
-    if not 1 <= n <= basis.count:
-        raise DomainError(f"count must be in [1, {basis.count}], got {n}")
-    norms = np.abs(basis.vectors[:, :n]).sum(axis=0)
+    n = basis.count
+    norms = np.abs(basis.vectors).sum(axis=0)
     idx = np.arange(1, n + 1, dtype=float)
     slope = float(np.polyfit(idx, norms, 1)[0]) if n >= 2 else float(norms[0])
     return L1Profile(norms=tuple(float(x) for x in norms),
@@ -200,9 +198,8 @@ class MercerModel:
         if np.any(np.diff(lam) > 0):
             raise DomainError("eigenvalues must be non-increasing")
 
-    def eigenvalues(self, count: int | None = None) -> np.ndarray:
-        n = self.basis.count if count is None else count
-        return self.eigenvalue_law.terms(n)
+    def eigenvalues(self) -> np.ndarray:
+        return self.eigenvalue_law.terms(self.basis.count)
 
     def eigenvalue_tail_bound(self) -> float:
         """Bound on sum_{i > count} lambda_i (inf when the law is not summable)."""
@@ -278,9 +275,7 @@ class MercerSynthesizedSpec(KernelSpec):
         out[:t, :t] = self._window_matrix
         return out
 
-    def diagonal(self, d: int) -> np.ndarray:
-        if d < 1:
-            raise DomainError(f"truncation order must be >= 1, got {d}")
+    def _diagonal(self, d: int) -> np.ndarray:
         out = np.zeros(d)
         m = min(d, self.model.basis.window)
         out[:m] = np.diag(self._window_matrix)[:m]
@@ -402,9 +397,7 @@ class CertificationResult:
         }
 
 
-def sufficient_stability_test(model: MercerModel,
-                              cross_check_grid: Sequence[int] | None = None,
-                              ) -> CertificationResult:
+def sufficient_stability_test(model: MercerModel) -> CertificationResult:
     """Probe sum_i lambda_i |rho_i|_1^2; certify stability on convergence.
 
     A certificate implies kernel absolute summability, so a certified
@@ -426,11 +419,9 @@ def sufficient_stability_test(model: MercerModel,
         # Probe past the support: the materialized kernel is exactly
         # zero beyond its window, and the probe needs to see at least
         # two flat increments to register the plateau.
-        if cross_check_grid is None:
-            cross_check_grid = _doubling_grid(4, 4 * model.basis.window)
-        spec = MercerSynthesizedSpec(model)
-        abs_sums, _ = window_sums(spec, list(cross_check_grid))
-        cross = divergence_probe(list(cross_check_grid), abs_sums)
+        cross_grid = _doubling_grid(4, 4 * model.basis.window)
+        abs_sums, _ = window_sums(MercerSynthesizedSpec(model), cross_grid)
+        cross = divergence_probe(cross_grid, abs_sums)
         contradiction = cross.decision == DIVERGING
     return CertificationResult(verdict=verdict,
                                terms=tuple(float(x) for x in terms),
@@ -506,7 +497,7 @@ def ns_condition_estimate(model: MercerModel, d: int,
 
 
 def builtin_model_zoo() -> dict[str, MercerModel]:
-    """Named reference models exercised by the synth command and the tests."""
+    """Named reference models for the tests."""
     zoo: dict[str, MercerModel] = {}
     zoo["canonical-power2"] = MercerModel(
         basis=canonical_basis(128), eigenvalue_law=PowerLaw(-2.0))

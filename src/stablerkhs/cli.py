@@ -143,8 +143,7 @@ def _parse_track(params: dict[str, Any]) -> list[int]:
 
 def _cmd_classify(config: ExperimentConfig) -> int:
     spec = _kernel_spec(config)
-    budget = stability.Budget(seed=config.seed or 0)
-    report = stability.classify(spec, budget)
+    report = stability.classify(spec, seed=config.seed or 0)
     sys.stdout.write(report.to_json())
     if config.output_dir is not None:
         _write_json(_out_path(config.output_dir, "classify_report.json"),
@@ -238,6 +237,9 @@ def _cmd_identify(config: ExperimentConfig) -> int:
     kernel = StableSpline(alpha)
     spectrum = spectral.eigendecompose(truncate(kernel, window))
     rank = spectrum.rank()
+    if rank == 0:
+        raise ConfigError(f"'alpha' = {alpha:g} gives a zero kernel window "
+                          f"(spectral rank 0); identify needs alpha > 0")
     # The main estimate and the gamma path share one kernel Gram.
     rels, *gamma_path = sysid.rels_path(problem, kernel, [gamma, *gammas])
 
@@ -254,8 +256,7 @@ def _cmd_identify(config: ExperimentConfig) -> int:
 
     lsq_basis = basis_mod.canonical_basis(window)
     aic_orders = sorted({min(d, window) for d in (2, 5, 10, 20, 50)})
-    selection = sysid.select_order(problem, lsq_basis, aic_orders,
-                                   criterion="aic")
+    selection = sysid.select_order(problem, lsq_basis, aic_orders)
     lsq = sysid.ls_estimate(problem, lsq_basis, selection.order)
 
     summary = {

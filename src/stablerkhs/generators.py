@@ -89,9 +89,12 @@ class SequenceGenerator:
         """First n terms as an array, term(1..n)."""
         if n < 0:
             raise DomainError(f"term count must be >= 0, got {n}")
-        return np.array([self._term(i) for i in range(1, n + 1)], dtype=float)
+        return self._terms(n)
 
     def _term(self, i: int) -> float:
+        raise NotImplementedError
+
+    def _terms(self, n: int) -> np.ndarray:
         raise NotImplementedError
 
     def _lag(self, k: int) -> float:
@@ -142,9 +145,7 @@ class PowerLaw(SequenceGenerator):
             return 1.0 if self.exponent == 0 else 0.0
         return float(k) ** self.exponent
 
-    def terms(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise DomainError(f"term count must be >= 0, got {n}")
+    def _terms(self, n: int) -> np.ndarray:
         return np.arange(1, n + 1, dtype=float) ** self.exponent
 
     def abs_summable(self) -> str:
@@ -177,9 +178,7 @@ class Geometric(SequenceGenerator):
     def _lag(self, k: int) -> float:
         return float(self.ratio) ** k
 
-    def terms(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise DomainError(f"term count must be >= 0, got {n}")
+    def _terms(self, n: int) -> np.ndarray:
         return self.ratio ** np.arange(1, n + 1, dtype=float)
 
     def abs_summable(self) -> str:
@@ -213,9 +212,7 @@ class Constant(SequenceGenerator):
     def _lag(self, k: int) -> float:
         return self.value
 
-    def terms(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise DomainError(f"term count must be >= 0, got {n}")
+    def _terms(self, n: int) -> np.ndarray:
         return np.full(n, self.value, dtype=float)
 
     def abs_summable(self) -> str:
@@ -247,9 +244,7 @@ class Literal(SequenceGenerator):
     def _lag(self, k: int) -> float:
         return float(self.values[k]) if k < len(self.values) else 0.0
 
-    def terms(self, n: int) -> np.ndarray:
-        if n < 0:
-            raise DomainError(f"term count must be >= 0, got {n}")
+    def _terms(self, n: int) -> np.ndarray:
         out = np.zeros(n, dtype=float)
         m = min(n, len(self.values))
         out[:m] = self.values[:m]

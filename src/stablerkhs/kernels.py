@@ -47,14 +47,16 @@ class KernelSpec:
 
     def _block(self, d: int) -> np.ndarray:
         """Dense leading d x d block; rows/cols 0-based for indices 1..d."""
-        return np.array([[self._entry(i, j) for j in range(1, d + 1)]
-                         for i in range(1, d + 1)], dtype=float)
+        raise NotImplementedError
 
     def diagonal(self, d: int) -> np.ndarray:
         """K_{ii} for i = 1..d."""
         if d < 1:
             raise DomainError(f"truncation order must be >= 1, got {d}")
-        return np.array([self._entry(i, i) for i in range(1, d + 1)], dtype=float)
+        return self._diagonal(d)
+
+    def _diagonal(self, d: int) -> np.ndarray:
+        raise NotImplementedError
 
     @property
     def support(self) -> int | None:
@@ -102,9 +104,7 @@ class StableSpline(KernelSpec):
         idx = np.arange(1, d + 1)
         return self.alpha ** np.maximum.outer(idx, idx).astype(float)
 
-    def diagonal(self, d: int) -> np.ndarray:
-        if d < 1:
-            raise DomainError(f"truncation order must be >= 1, got {d}")
+    def _diagonal(self, d: int) -> np.ndarray:
         return self.alpha ** np.arange(1, d + 1, dtype=float)
 
     def label(self) -> str:
@@ -137,9 +137,7 @@ class Gaussian(KernelSpec):
                          _GAUSS_CUTOFF * self.width)
         return np.exp(-(lag / self.width) ** 2)
 
-    def diagonal(self, d: int) -> np.ndarray:
-        if d < 1:
-            raise DomainError(f"truncation order must be >= 1, got {d}")
+    def _diagonal(self, d: int) -> np.ndarray:
         return np.ones(d)
 
     def label(self) -> str:
@@ -166,9 +164,7 @@ class TranslationInvariant(KernelSpec):
         idx = np.arange(d)
         return lags[np.abs(np.subtract.outer(idx, idx))]
 
-    def diagonal(self, d: int) -> np.ndarray:
-        if d < 1:
-            raise DomainError(f"truncation order must be >= 1, got {d}")
+    def _diagonal(self, d: int) -> np.ndarray:
         return np.full(d, self.h.lag(0))
 
     def label(self) -> str:
@@ -189,9 +185,7 @@ class RankOne(KernelSpec):
         vv = self.v.terms(d)
         return np.outer(vv, vv)
 
-    def diagonal(self, d: int) -> np.ndarray:
-        if d < 1:
-            raise DomainError(f"truncation order must be >= 1, got {d}")
+    def _diagonal(self, d: int) -> np.ndarray:
         return self.v.terms(d) ** 2
 
     @property
@@ -215,9 +209,7 @@ class Diagonal(KernelSpec):
     def _block(self, d: int) -> np.ndarray:
         return np.diag(self.g.terms(d))
 
-    def diagonal(self, d: int) -> np.ndarray:
-        if d < 1:
-            raise DomainError(f"truncation order must be >= 1, got {d}")
+    def _diagonal(self, d: int) -> np.ndarray:
         return self.g.terms(d)
 
     @property
@@ -256,11 +248,6 @@ class TruncatedKernel:
         return TruncatedKernel(k, self.entries[:k, :k].copy(), dict(self.source))
 
 
-def eval_entry(spec: KernelSpec, i: int, j: int) -> float:
-    """Entry K_{ij} of the kernel described by spec, i, j >= 1."""
-    return spec.entry(i, j)
-
-
 def truncate(spec: KernelSpec, d: int) -> TruncatedKernel:
     """Leading d x d window of spec, exactly symmetric by construction."""
     if d < 1:
@@ -293,8 +280,8 @@ class PsdCheck:
     tolerance: float
 
 
-def validate_psd(kernel: TruncatedKernel, eps_psd: float = EPS_PSD) -> PsdCheck:
-    """Check lambda_min(K) >= -eps_psd * max(1, lambda_max(K)).
+def validate_psd(kernel: TruncatedKernel) -> PsdCheck:
+    """Check lambda_min(K) >= -EPS_PSD * max(1, lambda_max(K)).
 
     Raises StructuralError when the matrix is asymmetric beyond machine
     tolerance; asymmetry is a structural defect, not indefiniteness.
@@ -306,7 +293,7 @@ def validate_psd(kernel: TruncatedKernel, eps_psd: float = EPS_PSD) -> PsdCheck:
         raise StructuralError(f"matrix asymmetry {asym:.3e} exceeds tolerance")
     w = np.linalg.eigvalsh(k)
     lam_min, lam_max = float(w[0]), float(w[-1])
-    tol = eps_psd * max(1.0, lam_max)
+    tol = EPS_PSD * max(1.0, lam_max)
     return PsdCheck(ok=lam_min >= -tol, lambda_min=lam_min,
                     lambda_max=lam_max, tolerance=tol)
 

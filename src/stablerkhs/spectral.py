@@ -34,6 +34,11 @@ EPS_GAP = 1e-8
 #: Slack for the monotone eigenvalue-path invariant.
 MONOTONE_SLACK = 1e-12
 
+#: check_spectrum's tolerances: elementwise |V'V - I|, and the Frobenius
+#: reconstruction error relative to |K|_F.
+ORTH_TOL = 1e-10
+RECON_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -76,9 +81,7 @@ def _sign_normalize(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def eigendecompose(kernel: TruncatedKernel,
-                   eps_psd: float = EPS_PSD,
-                   eps_gap: float = EPS_GAP) -> Spectrum:
+def eigendecompose(kernel: TruncatedKernel) -> Spectrum:
     """Full symmetric eigendecomposition of a PSD window.
 
     Eigenvalues are sorted descending; negatives within the PSD
@@ -96,7 +99,7 @@ def eigendecompose(kernel: TruncatedKernel,
     w = w[::-1].copy()
     v = v[:, ::-1].copy()
     lam_max = float(w[0]) if w.size else 0.0
-    tol = eps_psd * max(1.0, lam_max)
+    tol = EPS_PSD * max(1.0, lam_max)
     if w[-1] < -tol:
         raise NumericalError(
             f"input is not PSD within tolerance: lambda_min = {w[-1]:.6e} "
@@ -104,26 +107,25 @@ def eigendecompose(kernel: TruncatedKernel,
     clamped = int(np.count_nonzero(w < 0.0))
     w[w < 0.0] = 0.0
     v = _sign_normalize(v)
-    gap_tol = eps_gap * max(lam_max, 0.0)
+    gap_tol = EPS_GAP * max(lam_max, 0.0)
     close = np.abs(np.diff(w)) < gap_tol
     warnings = tuple((int(i) + 1, int(i) + 2) for i in np.nonzero(close)[0])
     return Spectrum(d=kernel.d, eigenvalues=w, eigenvectors=v,
                     clamped=clamped, multiplicity_warnings=warnings)
 
 
-def check_spectrum(spectrum: Spectrum, kernel: TruncatedKernel,
-                   orth_tol: float = 1e-10, recon_tol: float = 1e-9) -> None:
+def check_spectrum(spectrum: Spectrum, kernel: TruncatedKernel) -> None:
     """Verify the orthonormality and reconstruction contracts (O(d^3))."""
     v = spectrum.eigenvectors
     gram_dev = np.abs(v.T @ v - np.eye(spectrum.d)).max()
-    if gram_dev > orth_tol:
+    if gram_dev > ORTH_TOL:
         raise NumericalError(f"eigenvector orthonormality off by {gram_dev:.3e}")
     recon = (v * spectrum.eigenvalues) @ v.T
     scale = np.linalg.norm(kernel.entries)
     err = np.linalg.norm(kernel.entries - recon)
-    if err > recon_tol * max(scale, 1e-300):
+    if err > RECON_TOL * max(scale, 1e-300):
         raise NumericalError(f"spectral reconstruction error {err:.3e} exceeds "
-                             f"{recon_tol:g} of |K|_F")
+                             f"{RECON_TOL:g} of |K|_F")
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,8 +162,8 @@ def _align_padded(longer: np.ndarray, shorter: np.ndarray) -> float:
 
 
 def convergence_scan(spec: KernelSpec, grid: Sequence[int],
-                     track: Sequence[int], *, threads: int = 1,
-                     eps_gap: float = EPS_GAP) -> ConvergenceTrace:
+                     track: Sequence[int], *,
+                     threads: int = 1) -> ConvergenceTrace:
     """Decompose K^(d) along an ascending grid and monitor tracked indices.
 
     The kernel is truncated once, at the largest order; smaller windows
@@ -190,8 +192,8 @@ def convergence_scan(spec: KernelSpec, grid: Sequence[int],
 
     def spectrum_at(d: int) -> Spectrum:
         if d == big.d:
-            return eigendecompose(big, eps_gap=eps_gap)
-        s = eigendecompose(big.leading(d), eps_gap=eps_gap)
+            return eigendecompose(big)
+        s = eigendecompose(big.leading(d))
         # The fold reads no eigenvector past the last tracked index.
         return replace(s, eigenvectors=s.eigenvectors[:, :track[-1]].copy())
 

@@ -140,15 +140,13 @@ class ProbeResult:
         }
 
 
-def divergence_probe(grid: Sequence[int], sums: Sequence[float],
-                     rtol: float = PROBE_RTOL,
-                     ratio_cap: float = PROBE_RATIO_CAP) -> ProbeResult:
+def divergence_probe(grid: Sequence[int], sums: Sequence[float]) -> ProbeResult:
     """Classify partial sums on an ascending grid as converging/diverging.
 
     Decision rules, applied in order:
 
     1. non-finite values -> Diverging (overflow).
-    2. the last two increments both below rtol * |sum|
+    2. the last two increments both below PROBE_RTOL * |sum|
        -> Converging: the series has stabilized to the requested
        relative resolution.
     3. the last three increments non-decreasing -> Diverging: on a
@@ -156,7 +154,7 @@ def divergence_probe(grid: Sequence[int], sums: Sequence[float],
     4. a log-log fit of increments against d with exponent >= 0
        -> Diverging (power-law growth of the tail mass).
     5. increments positive, shrinking, with consecutive ratios at most
-       ratio_cap -> Converging: the extrapolated geometric tail is
+       PROBE_RATIO_CAP -> Converging: the extrapolated geometric tail is
        finite.
     6. otherwise Undecided.
 
@@ -185,9 +183,10 @@ def divergence_probe(grid: Sequence[int], sums: Sequence[float],
         return result(DIVERGING, "non-finite partial sums (overflow)", None)
 
     scale = max(abs(float(s[-1])), 1e-300)
-    if np.all(np.abs(inc[-2:]) <= rtol * scale):
+    if np.all(np.abs(inc[-2:]) <= PROBE_RTOL * scale):
         return result(CONVERGING,
-                      f"trailing increments below {rtol:g} of the sum", None)
+                      f"trailing increments below {PROBE_RTOL:g} of the sum",
+                      None)
 
     # Trend rules need at least three increments; two grid steps cannot
     # distinguish slow convergence from divergence, so they fall through
@@ -209,10 +208,10 @@ def divergence_probe(grid: Sequence[int], sums: Sequence[float],
     shrinking = len(inc) >= 3 and np.all(np.diff(tail) < 0)
     if shrinking and np.all(inc > 0):
         ratios = (inc[1:] / inc[:-1])[-3:]
-        if np.all(ratios <= ratio_cap):
+        if np.all(ratios <= PROBE_RATIO_CAP):
             return result(CONVERGING,
                           f"increments shrink geometrically (worst recent "
-                          f"ratio {ratios.max():.3g} <= {ratio_cap:g})",
+                          f"ratio {ratios.max():.3g} <= {PROBE_RATIO_CAP:g})",
                           exponent)
 
     return result(UNDECIDED, "growth neither clearly bounded nor clearly "
@@ -288,8 +287,8 @@ def norm_growth_scan(spec: KernelSpec, grid: Sequence[int],
 # --------------------------------------------------------------------------
 # Report types
 
-VERDICTS = ("ProvenUnstable", "EvidenceStable", "EvidenceUnstable",
-            "Inconclusive", "AnalyticallyStable", "AnalyticallyUnstable")
+VERDICTS = ("EvidenceStable", "EvidenceUnstable", "Inconclusive",
+            "AnalyticallyStable", "AnalyticallyUnstable")
 
 #: Flag names in implication order: yes propagates rightward
 #: (absolutely summable => stable => finite trace => square summable),
@@ -379,8 +378,8 @@ class StabilityReport:
             "tests": [t.to_dict() for t in self.tests],
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def series_rows(self) -> list[tuple[str, int, float]]:
         """(test name, d, value) rows for CSV emission of every series."""
@@ -400,16 +399,13 @@ class StabilityReport:
 # --------------------------------------------------------------------------
 # Classifier
 
-@dataclass(frozen=True)
-class Budget:
-    """Work limits for the classification battery."""
-
-    trace_max: int = 4096           # 1-D sums, O(d)
-    window_max: int = 512           # dense d x d windows, O(d^2)
-    norm_max: int = 256             # heuristic norm scans
-    restarts: int = 8
-    seed: int = 0
-
+#: Work limits of the classification battery: the largest order of the
+#: trace, windowed-sum and norm grids before a finite support stretches
+#: them, and the restarts of the norm channel's sign-flip ascent.
+TRACE_MAX = 4096          # 1-D sums, O(d)
+WINDOW_MAX = 512          # dense d x d windows, O(d^2)
+NORM_MAX = 256            # heuristic norm scans
+RESTARTS = 8
 
 #: Order of the window classify checks for positive semidefiniteness.
 PSD_CHECK_ORDER = 64
@@ -495,15 +491,15 @@ def _analytic_pass(spec: KernelSpec) -> tuple[dict[str, str], list[TestRecord]]:
     return flags, tests
 
 
-def classify(spec: KernelSpec, budget: Budget | None = None) -> StabilityReport:
+def classify(spec: KernelSpec, seed: int = 0) -> StabilityReport:
     """Run the stability battery and assemble the evidence report.
 
     Analytic shortcuts (closed-form arguments per family) yield
     Analytically{Stable,Unstable} verdicts; otherwise finite-window
     evidence yields Evidence{Stable,Unstable} or Inconclusive. Failure
     of absolute summability alone never produces an instability verdict.
+    The seed drives the random restarts of the sign-flip ascent.
     """
-    budget = budget or Budget()
     support = spec.support
 
     def stop_for(default: int, envelope: int) -> int:
@@ -547,29 +543,26 @@ def classify(spec: KernelSpec, budget: Budget | None = None) -> StabilityReport:
         if value is not None:
             evidence_flags[flag] = value
 
-    grid = _geometric_grid(16, stop_for(budget.trace_max, 65536))
-    if len(grid) >= PROBE_MIN_POINTS:
-        channel("partial_trace", "partial_sum", "finite_trace", grid,
-                [partial_trace(spec, d) for d in grid])
+    grid = _geometric_grid(16, stop_for(TRACE_MAX, 65536))
+    channel("partial_trace", "partial_sum", "finite_trace", grid,
+            [partial_trace(spec, d) for d in grid])
 
     # abs_summable=no says nothing about stability: it is sufficient only.
-    grid = _geometric_grid(16, stop_for(budget.window_max, 2048))
-    if len(grid) >= PROBE_MIN_POINTS:
-        abs_sums, sq_sums = window_sums(spec, grid)
-        channel("abs_sum", "partial_sum", "abs_summable", grid, abs_sums,
-                extra=support_note(grid))
-        channel("sq_sum", "partial_sum", "sq_summable", grid, sq_sums,
-                extra=support_note(grid))
+    grid = _geometric_grid(16, stop_for(WINDOW_MAX, 2048))
+    abs_sums, sq_sums = window_sums(spec, grid)
+    channel("abs_sum", "partial_sum", "abs_summable", grid, abs_sums,
+            extra=support_note(grid))
+    channel("sq_sum", "partial_sum", "sq_summable", grid, sq_sums,
+            extra=support_note(grid))
 
-    grid = _geometric_grid(8, stop_for(budget.norm_max, 2048))
-    if len(grid) >= PROBE_MIN_POINTS:
-        scan = norm_growth_scan(spec, grid, method="heuristic",
-                                restarts=budget.restarts, seed=budget.seed)
-        channel("norm_growth", "norm_growth", "stable", grid, scan.values(),
-                suffix=" (sign-flip ascent lower bounds)",
-                extra={"witnesses": [e.witness_signs() for e in scan.estimates],
-                       "method": NormMethod.SIGN_FLIP_ASCENT.value,
-                       **support_note(grid)})
+    grid = _geometric_grid(8, stop_for(NORM_MAX, 2048))
+    scan = norm_growth_scan(spec, grid, method="heuristic",
+                            restarts=RESTARTS, seed=seed)
+    channel("norm_growth", "norm_growth", "stable", grid, scan.values(),
+            suffix=" (sign-flip ascent lower bounds)",
+            extra={"witnesses": [e.witness_signs() for e in scan.estimates],
+                   "method": NormMethod.SIGN_FLIP_ASCENT.value,
+                   **support_note(grid)})
 
     try:
         evidence_flags = resolve_flags(**evidence_flags)

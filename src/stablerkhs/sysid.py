@@ -8,7 +8,7 @@ truncated at a computation window T_f whose tail is audited.
 
 * ls_estimate: classical least squares on the first d vectors of an
   orthonormal basis; d trades bias against variance and is selected by
-  AIC or k-fold cross validation.
+  AIC.
 * rels_estimate / rels_path: kernel regularized least squares. The
   minimizer lives in an N-dimensional subspace determined by the kernel
   and the input, so the solve is an N x N SPD factorization,
@@ -54,6 +54,9 @@ DEFAULT_WINDOW = 2000
 #: The kernel diagonal at the window edge should be below this fraction of
 #: its first entry, otherwise the truncation is flagged as lossy.
 TAIL_RATIO = 1e-10
+
+#: Pole of the one-pole smoother behind simulate's "filtered" input.
+FILTER_POLE = 0.9
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,44 +118,40 @@ def convolve_truth(u: np.ndarray, f0: np.ndarray, times: np.ndarray) -> np.ndarr
 
 
 def simulate(f0: np.ndarray, input_kind: str, n: int, sigma: float, seed: int,
-             window: int = DEFAULT_WINDOW, times: Sequence[int] | None = None,
-             filter_pole: float = 0.9) -> tuple[RegressionProblem, np.ndarray]:
+             window: int = DEFAULT_WINDOW) -> tuple[RegressionProblem, np.ndarray]:
     """Generate a synthetic identification problem with known truth.
 
     input_kind is one of "white" (unit Gaussian), "filtered" (white
     noise through a one-pole smoother), "step", "impulse". Observation
-    instants default to 1..n. Deterministic given the seed.
+    instants are 1..n. Deterministic given the seed.
     """
     if sigma < 0:
         raise DomainError(f"noise level must be >= 0, got {sigma}")
     if n < 1:
         raise DomainError(f"need n >= 1 observations, got {n}")
-    times_arr = np.arange(1, n + 1) if times is None else np.asarray(times, int)
-    if times_arr.size != n:
-        raise ConfigError(f"expected {n} observation instants, got {times_arr.size}")
-    horizon = int(times_arr.max())
+    times = np.arange(1, n + 1)
     rng = np.random.default_rng(seed)
     if input_kind == "white":
-        u = rng.standard_normal(horizon)
+        u = rng.standard_normal(n)
     elif input_kind == "filtered":
-        w = rng.standard_normal(horizon)
-        u = np.empty(horizon)
+        w = rng.standard_normal(n)
+        u = np.empty(n)
         acc = 0.0
-        for t in range(horizon):
-            acc = filter_pole * acc + w[t]
+        for t in range(n):
+            acc = FILTER_POLE * acc + w[t]
             u[t] = acc
     elif input_kind == "step":
-        u = np.ones(horizon)
+        u = np.ones(n)
     elif input_kind == "impulse":
-        u = np.zeros(horizon)
+        u = np.zeros(n)
         u[0] = 1.0
     else:
         raise ConfigError(f"unknown input kind {input_kind!r}")
     f0 = np.asarray(f0, dtype=float)
-    y = convolve_truth(u, f0, times_arr)
+    y = convolve_truth(u, f0, times)
     if sigma > 0:
         y = y + sigma * rng.standard_normal(n)
-    problem = RegressionProblem(u=u, times=times_arr, y=y, sigma=sigma,
+    problem = RegressionProblem(u=u, times=times, y=y, sigma=sigma,
                                 window=window)
     return problem, f0
 
@@ -230,19 +229,16 @@ RSS_FLOOR = 1e-300
 @dataclass(frozen=True)
 class OrderSelection:
     order: int
-    criterion: str
     scores: tuple[tuple[int, float], ...]
     degenerate: bool = False
 
 
 def select_order(problem: RegressionProblem, basis: OrthoBasis,
-                 orders: Sequence[int], criterion: str = "aic",
-                 folds: int = 5) -> OrderSelection:
-    """Pick the estimation order by AIC or k-fold cross validation.
+                 orders: Sequence[int]) -> OrderSelection:
+    """Pick the estimation order by AIC.
 
-    AIC = N log(RSS / N) + 2 d with an RSS floor guarding the log; CV
-    splits observations into contiguous deterministic folds. Ties go to
-    the smallest order.
+    AIC = N log(RSS / N) + 2 d with an RSS floor guarding the log. Ties
+    go to the smallest order.
     """
     orders = sorted(set(int(d) for d in orders))
     if not orders:
@@ -252,37 +248,15 @@ def select_order(problem: RegressionProblem, basis: OrthoBasis,
     n = problem.n
     scores: list[tuple[int, float]] = []
     degenerate = False
-    if criterion == "aic":
-        for d in orders:
-            rss = ls_estimate(problem, basis, d).rss
-            if rss < RSS_FLOOR:
-                degenerate = True
-                rss = RSS_FLOOR
-            scores.append((d, n * float(np.log(rss / n)) + 2.0 * d))
-    elif criterion == "cv":
-        if folds < 2:
-            raise ConfigError(f"cross validation needs >= 2 folds, got {folds}")
-        folds = min(folds, n)
-        bounds = np.linspace(0, n, folds + 1, dtype=int)
-        phi = regression_matrix(problem)
-        for d in orders:
-            press = 0.0
-            for f in range(folds):
-                lo, hi = bounds[f], bounds[f + 1]
-                mask = np.ones(n, dtype=bool)
-                mask[lo:hi] = False
-                sub = RegressionProblem(u=problem.u, times=problem.times[mask],
-                                        y=problem.y[mask], sigma=problem.sigma,
-                                        window=problem.window)
-                est = ls_estimate(sub, basis, d)
-                r = problem.y[~mask] - phi[~mask] @ est.impulse_response
-                press += float(r @ r)
-            scores.append((d, press))
-    else:
-        raise ConfigError(f"unknown selection criterion {criterion!r}")
+    for d in orders:
+        rss = ls_estimate(problem, basis, d).rss
+        if rss < RSS_FLOOR:
+            degenerate = True
+            rss = RSS_FLOOR
+        scores.append((d, n * float(np.log(rss / n)) + 2.0 * d))
     best = min(scores, key=lambda t: (t[1], t[0]))
-    return OrderSelection(order=best[0], criterion=criterion,
-                          scores=tuple(scores), degenerate=degenerate)
+    return OrderSelection(order=best[0], scores=tuple(scores),
+                          degenerate=degenerate)
 
 
 def _check_gamma(gamma: float) -> None:

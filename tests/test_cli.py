@@ -406,6 +406,18 @@ def test_identify_requires_seed(tmp_path, capsys):
     assert "seed" in err
 
 
+def test_identify_zero_alpha_is_config_error(tmp_path, capsys):
+    # alpha = 0 is the zero kernel: its window has spectral rank 0, so no
+    # truncated estimate exists. The error names alpha, not an order.
+    code, out, err = run(capsys, "identify", "--seed", "1", "--n", "30",
+                         "--window", "30", "--alpha", "0",
+                         "--output-dir", str(tmp_path))
+    assert code == 2
+    assert err.startswith("config error:")
+    assert "'alpha'" in err and "zero kernel window" in err
+    assert out == ""
+
+
 def test_identify_runs_and_reports_equivalence(tmp_path, capsys):
     out_dir = tmp_path / "i"
     code, out, _ = run(capsys, "identify", "--seed", "1", "--n", "60",

@@ -21,7 +21,6 @@ from stablerkhs.kernels import (
     StableSpline,
     TranslationInvariant,
     TruncatedKernel,
-    eval_entry,
     spec_from_config,
     truncate,
     validate_psd,
@@ -39,17 +38,17 @@ ALL_SPECS = [
 
 
 def test_eval_entry_closed_forms():
-    assert eval_entry(StableSpline(0.95), 2, 3) == pytest.approx(0.95 ** 3,
-                                                                 abs=1e-15)
-    assert eval_entry(Gaussian(), 7, 7) == 1.0
-    assert eval_entry(RankOne(PowerLaw(-1.0)), 2, 3) == pytest.approx(1 / 6)
+    assert StableSpline(0.95).entry(2, 3) == pytest.approx(0.95 ** 3,
+                                                           abs=1e-15)
+    assert Gaussian().entry(7, 7) == 1.0
+    assert RankOne(PowerLaw(-1.0)).entry(2, 3) == pytest.approx(1 / 6)
 
 
 def test_eval_entry_rejects_bad_indices():
     with pytest.raises(DomainError):
-        eval_entry(Gaussian(), 0, 1)
+        Gaussian().entry(0, 1)
     with pytest.raises(DomainError):
-        eval_entry(Gaussian(), 1, -3)
+        Gaussian().entry(1, -3)
 
 
 def test_parameter_validation_at_construction():

@@ -33,7 +33,6 @@ from stablerkhs.stability import (
     CONVERGING,
     DIVERGING,
     UNDECIDED,
-    Budget,
     StabilityReport,
     abs_sum_partial,
     classify,
@@ -478,6 +477,37 @@ def test_classify_records_the_support_behind_a_plateau():
         assert "support" not in plain.find(name).extra
 
 
+#: The benchmark's classify-zoo kernels plus kernels of support 1, whose
+#: grids stretch least past the support.
+CHANNEL_CONFIGS = [
+    {"family": "stable-spline", "alpha": 0.9},
+    {"family": "gaussian", "width": 2.0},
+    {"family": "translation-invariant", "h": "geometric:0.5"},
+    {"family": "rank-one", "v": "power:-0.75"},
+    {"family": "rank-one", "v": "power:-2"},
+    {"family": "diagonal", "g": "power:-1"},
+    {"family": "diagonal", "g": "power:-2"},
+    {"family": "mercer", "basis": "laguerre", "pole": 0.5, "count": 20,
+     "window": 400, "eigenvalues": "power:-4"},
+    {"family": "mercer", "basis": "random", "count": 32, "window": 128,
+     "eigenvalues": "power:-4"},
+    {"family": "diagonal", "g": "lit:2"},
+    {"family": "rank-one", "v": "lit:1"},
+    {"family": "mercer", "basis": "canonical", "count": 2, "window": 2,
+     "eigenvalues": "power:-2"},
+]
+
+
+@pytest.mark.parametrize("cfg", CHANNEL_CONFIGS,
+                         ids=lambda c: "-".join(str(v) for v in c.values()))
+def test_classify_reports_every_finite_window_channel(cfg):
+    rep = classify(spec_from_config(cfg))
+    for name in ("partial_trace", "abs_sum", "sq_sum", "norm_growth"):
+        record = rep.find(name)
+        assert len(record.grid) >= 3
+        assert len(record.values) == len(record.grid)
+
+
 def test_classify_long_literal_diagonal_uses_support():
     # literal support of 300 exceeds the default norm grid; the grids
     # must stretch past it so evidence agrees with the analytic verdict
@@ -486,15 +516,6 @@ def test_classify_long_literal_diagonal_uses_support():
     rep = classify(Diagonal(parse_generator(f"lit:{values}")))
     assert rep.verdict == "AnalyticallyStable"
     assert rep.find("norm_growth").decision == CONVERGING
-
-
-def test_classify_respects_budget_window():
-    # Windows too short to resolve the trend must stay inconclusive
-    # rather than invent a verdict.
-    rep = classify(StableSpline(0.9), Budget(trace_max=128, window_max=64,
-                                             norm_max=32))
-    assert rep.verdict == "Inconclusive"
-    assert rep.class_flags["stable"] == "unknown"
 
 
 # --------------------------------------------------------------------------

@@ -168,15 +168,6 @@ def test_select_order_single_candidate():
     assert sel.order == 4
 
 
-def test_select_order_cv_runs_and_is_deterministic():
-    problem, _ = make_problem(sigma=0.2)
-    basis = canonical_basis(problem.window)
-    a = select_order(problem, basis, [1, 2, 5, 10], criterion="cv")
-    b = select_order(problem, basis, [1, 2, 5, 10], criterion="cv")
-    assert a.order == b.order
-    assert a.scores == b.scores
-
-
 # --------------------------------------------------------------------------
 # Regularized least squares
 
