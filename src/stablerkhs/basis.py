@@ -485,9 +485,10 @@ def ns_condition_estimate(model: MercerModel, d: int,
 
     The sum is u' K u for the synthesized truncation K = B_d Lambda B_d',
     so the condition is the (inf,1) norm of K, estimated by
-    norm_growth_scan's "auto" rule: exact (Gray enumeration) up to the
-    cap, sign-flip ascent beyond. Unlike synthesize_kernel, non-summable
-    laws on overlapping bases are accepted.
+    norm_growth_scan's "auto" rule: exact (block Gray enumeration, a few
+    milliseconds at d = 20) up to the cap, sign-flip ascent beyond.
+    Unlike synthesize_kernel, non-summable laws on overlapping bases are
+    accepted.
     """
     t = model.basis.window
     if not 1 <= d <= t:

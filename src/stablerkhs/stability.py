@@ -66,16 +66,6 @@ def _nonzero_order(spec: KernelSpec, d: int) -> int:
     return d if n is None else min(d, n)
 
 
-def abs_sum_partial(spec: KernelSpec, d: int) -> float:
-    """sum_{i,j <= d} |K_ij|, summed on the block inside a finite support."""
-    return float(np.abs(truncate(spec, _nonzero_order(spec, d)).entries).sum())
-
-
-def sq_sum_partial(spec: KernelSpec, d: int) -> float:
-    """sum_{i,j <= d} K_ij^2, summed on the block inside a finite support."""
-    return float((truncate(spec, _nonzero_order(spec, d)).entries ** 2).sum())
-
-
 def _ascending(grid: Sequence[int], what: str) -> list[int]:
     grid = list(grid)
     if not grid or any(b <= a for a, b in zip(grid, grid[1:])):

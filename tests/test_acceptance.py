@@ -9,7 +9,7 @@ fixtures so the suite stays inside its runtime budget.
 import numpy as np
 import pytest
 
-from conftest import as_kernel, random_psd
+from conftest import as_kernel, random_psd, sq_sum_partial
 
 from stablerkhs.basis import (
     builtin_model_zoo,
@@ -30,7 +30,7 @@ from stablerkhs.kernels import (
 )
 from stablerkhs.opnorm import brute_force_inf_one_norm, inf_one_norm_exact
 from stablerkhs.spectral import convergence_scan, eigendecompose
-from stablerkhs.stability import classify, partial_trace, sq_sum_partial
+from stablerkhs.stability import classify, partial_trace
 from stablerkhs.sysid import (
     decaying_exponential_mix,
     rels_estimate,

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import as_kernel, random_psd
 
+from stablerkhs import opnorm
 from stablerkhs.errors import EnumerationCapError, StructuralError
 from stablerkhs.opnorm import (
     NormKind,
@@ -45,8 +46,10 @@ def test_exact_matches_brute_force_seeded_6x6():
     assert est.value == pytest.approx(oracle, rel=1e-12)
 
 
-#: seed -> window size for random_psd(seed, size).
-_SWEEP = {**{seed: 2 + seed % 9 for seed in range(25)}, 77: 9}
+#: seed -> window size for random_psd(seed, size). Past d = 13 the
+#: exact engine splits the free coordinates into a low and a high block.
+_SWEEP = {**{seed: 2 + seed % 9 for seed in range(25)}, 77: 9,
+          101: 12, 102: 13, 103: 14, 104: 17, 105: 18}
 
 
 @pytest.mark.parametrize("seed", _SWEEP)
@@ -58,6 +61,31 @@ def test_exact_matches_brute_force_sweep(seed):
     assert est.value == pytest.approx(oracle, rel=1e-12)
     # the witness really attains the reported value
     assert quadratic_form(k.entries, est.witness) == est.value
+
+
+def test_exact_engine_shares_no_code_with_the_oracle(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the exact engine called sign_matrix")
+
+    monkeypatch.setattr(opnorm, "sign_matrix", refuse)
+    inf_one_norm_exact(as_kernel(random_psd(9, 15)))
+
+
+def test_exact_at_d24_is_bracketed():
+    k = as_kernel(random_psd(24, 24))
+    exact = inf_one_norm_exact(k)
+    assert exact.kind is NormKind.EXACT
+    assert exact.value >= inf_one_norm_heuristic(k).value
+    assert exact.value <= abs_sum_upper_bound(k).value * (1 + 1e-12)
+    assert quadratic_form(k.entries, exact.witness) == exact.value
+
+
+def test_norm_scan_auto_is_exact_at_d24():
+    from stablerkhs.kernels import StableSpline
+    from stablerkhs.stability import norm_growth_scan
+    scan = norm_growth_scan(StableSpline(0.9), [24], method="auto")
+    assert [e.kind for e in scan.estimates] == [NormKind.EXACT]
+    assert scan.downgraded == ()
 
 
 def test_witness_is_sign_vector_with_first_positive():
@@ -273,3 +301,79 @@ def test_ascent_matches_scalar_scan(seed, m, rank, pad, restarts):
 ], ids=["ones", "alternating", "padded-ones", "zero"])
 def test_ascent_matches_scalar_scan_on_ties_and_zeros(matrix):
     _assert_heuristic_matches_scalar(matrix, restarts=8, seed=3)
+
+
+# --------------------------------------------------------------------------
+# The block Gray enumeration against the single Gray scan it replaced:
+# the same candidates in the same order, scored with other roundings, so
+# the same witness unless two sign classes tie within rounding.
+
+def _scalar_gray_scan(k):
+    """One candidate per Gray step; the start values are summed
+    sequentially, so the scan's own rounding is fixed."""
+    d = k.shape[0]
+    u = np.ones(d)
+    s = np.empty(d)
+    for i in range(d):
+        acc = 0.0
+        for j in range(d):
+            acc += k[i, j]
+        s[i] = acc
+    q = 0.0
+    for i in range(d):
+        q += s[i]
+    best = q
+    best_u = u.copy()
+    diag = np.diag(k)
+    for t in range(1, 1 << (d - 1)):
+        # Coordinate 1 stays +1; Gray flip index over coordinates 2..d.
+        p = 1 + ((t & -t).bit_length() - 1)
+        up = u[p]
+        q = q + 4.0 * (diag[p] - up * s[p])
+        u[p] = -up
+        s -= (2.0 * up) * k[p]
+        if q > best:
+            best = q
+            best_u = u.copy()
+    return quadratic_form(k, best_u), best_u
+
+
+def _assert_exact_matches_scalar(matrix):
+    kernel = as_kernel(matrix)
+    est = inf_one_norm_exact(kernel)
+    value, witness = _scalar_gray_scan(kernel.entries)
+    assert est.value == quadratic_form(kernel.entries, est.witness)
+    if np.array_equal(est.witness, witness):
+        assert np.float64(est.value).tobytes() == np.float64(value).tobytes()
+    else:       # a tie within rounding: both witnesses attain the maximum
+        assert est.value == pytest.approx(value, rel=1e-12, abs=1e-12)
+    return est.witness, witness
+
+
+@given(seed=st.integers(0, 10_000), m=st.integers(1, 16),
+       rank=st.integers(1, 16), pad=st.integers(0, 15))
+@settings(max_examples=40, deadline=None)
+def test_exact_matches_scalar_gray_scan(seed, m, rank, pad):
+    matrix = random_psd(seed, m, rank=min(rank, m))
+    _assert_exact_matches_scalar(matrix)
+    _assert_exact_matches_scalar(_padded(matrix, min(pad, 16 - m)))
+
+
+@pytest.mark.parametrize("m", [12, 13, 14, 16])
+def test_exact_matches_scalar_gray_scan_across_the_block_split(m):
+    for seed in range(3):
+        engine, scalar = _assert_exact_matches_scalar(random_psd(seed, m))
+        np.testing.assert_array_equal(engine, scalar)
+
+
+@pytest.mark.parametrize("matrix", [
+    np.eye(15),
+    np.zeros((15, 15)),
+    np.ones((15, 15)),
+    np.outer(*(2 * [np.tile([1.0, -1.0, 2.0, -2.0, 1.0], 3)])),
+    # two copies of one block: the classes (w, w) and (w, -w) tie
+    # exactly, and the two engines' roundings pick different ones
+    np.kron(np.eye(2), random_psd(0, 7)),
+], ids=["eye", "zeros", "ones", "rank-one-tied", "kron-eye2"])
+def test_exact_matches_scalar_gray_scan_on_ties(matrix):
+    _assert_exact_matches_scalar(matrix)

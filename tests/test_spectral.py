@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import as_kernel, random_psd
+from conftest import as_kernel, random_psd, sq_sum_partial
 
 from stablerkhs.errors import ConfigError, DomainError, NumericalError
 from stablerkhs.generators import Geometric, Literal, PowerLaw
@@ -14,7 +14,7 @@ from stablerkhs.spectral import (
     feature_map,
     mercer_reconstruct,
 )
-from stablerkhs.stability import partial_trace, sq_sum_partial
+from stablerkhs.stability import partial_trace
 
 
 def quadratic_roots(b, c):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import as_kernel, random_psd
+from conftest import abs_sum_partial, as_kernel, random_psd, sq_sum_partial
 
 from stablerkhs.basis import (
     MercerModel,
@@ -34,13 +34,11 @@ from stablerkhs.stability import (
     DIVERGING,
     UNDECIDED,
     StabilityReport,
-    abs_sum_partial,
     classify,
     divergence_probe,
     norm_growth_scan,
     partial_trace,
     resolve_flags,
-    sq_sum_partial,
     tail_trace,
     window_sums,
 )
